@@ -27,17 +27,13 @@ from .corpus import (
 )
 from .framework import (
     EndefModel,
-    ForwardRecord,
-    biased_predict,
     case_report,
-    debiased_predict,
-    fused_forward,
     load_checkpoint,
-    loss_entity,
-    loss_overall,
+    logits,
     loss_total,
     make_endef_model,
     save_checkpoint,
+    score,
 )
 from .metrics import (
     EvalReport,
@@ -69,6 +65,5 @@ from .training import (
     evaluate_model,
     grid_search_alpha,
     train,
-    train_baseline,
 )
 from .vocab import Vocabulary, build_vocabulary

@@ -3,6 +3,7 @@
 from dataclasses import dataclass, replace
 
 from .corpus import contains_subsequence
+from .recognizer import longest_matches
 
 MASK_TOKEN = "[MASK]"
 AUGMENT_KINDS = ("word_level", "entity_level")
@@ -45,22 +46,17 @@ def _entity_forms(entity_strings):
     return forms
 
 
-def entity_spans(tokens, entity_strings):
-    """Non-overlapping (start, end) entity spans, longest match first at each position."""
+def _entity_matches(tokens, entity_strings):
+    # (start, end, entity) for every longest-leftmost exact token-tuple match
     forms = _entity_forms(entity_strings)
     if not forms:
         return []
-    kmax = max(len(f) for f in forms)
-    spans, i, n = [], 0, len(tokens)
-    while i < n:
-        hit = 0
-        for k in range(min(kmax, n - i), 0, -1):
-            if tuple(tokens[i : i + k]) in forms:
-                spans.append((i, i + k))
-                hit = k
-                break
-        i += hit if hit else 1
-    return spans
+    return longest_matches(tuple(tokens), max(map(len, forms)), forms, tuple)
+
+
+def entity_spans(tokens, entity_strings):
+    """Non-overlapping (start, end) entity spans, longest match first at each position."""
+    return [(a, b) for a, b, _ in _entity_matches(tokens, entity_strings)]
 
 
 def recompute_entities(piece, new_tokens):
@@ -72,8 +68,7 @@ def recompute_entities(piece, new_tokens):
     """
     in_text = {e for e in piece.entities if contains_subsequence(piece.tokens, e.split())}
     external = tuple(e for e in piece.entities if e not in in_text)
-    forms = _entity_forms(in_text)
-    matched = tuple(forms[tuple(new_tokens[a:b])] for a, b in entity_spans(new_tokens, in_text))
+    matched = tuple(e for _, _, e in _entity_matches(new_tokens, in_text))
     return matched + external
 
 

@@ -10,18 +10,19 @@ import argparse
 import json
 import platform
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .corpus import Corpus, entity_bias_table, export_bias_table, load_corpus, save_corpus, temporal_split
+from .corpus import Corpus, SplitResult, entity_bias_table, export_bias_table, load_corpus, save_corpus, temporal_split
 from .framework import case_report, load_checkpoint, make_endef_model, save_checkpoint
 from .metrics import PredictionSet, aggregate_reports, evaluate, format_aggregate_table
 from .models import BAG_OF_EMBEDDINGS, EncoderSpec, ScalarModel
 from .recognizer import Gazetteer, recognize_corpus
 from .synthetic import BiasSpec, generate
-from .training import TrainConfig, evaluate_model, grid_search_alpha, train, train_baseline
+from .training import TrainConfig, evaluate_model, grid_search_alpha, train
 from .vocab import build_vocabulary
 
 
@@ -141,29 +142,27 @@ def _write_history(path, history):
             fh.write(json.dumps(row, sort_keys=True) + "\n")
 
 
-def _train_single(mode, split_parts, cfg, detector_spec, entity_spec, out, scale_by_alpha):
-    train_part, val_part, test_part = split_parts
-    vocab = build_vocabulary(train_part, cfg.min_token_freq)
-    from .corpus import SplitResult
-
-    split = SplitResult(train_part, val_part, test_part if test_part is not None else Corpus((), name="unused"))
+def _build_model(mode, cfg, detector_spec, entity_spec, vocab):
+    """The untrained model of a training mode and the input view its detector reads."""
     if mode == "endef":
         model = make_endef_model(detector_spec, entity_spec, vocab, seed=cfg.seed, alpha=cfg.alpha, beta=cfg.beta)
-        result = train(model, split, cfg)
-    elif mode == "baseline":
-        model = ScalarModel(detector_spec, vocab, seed=cfg.seed)
-        result = train_baseline(model, split, cfg)
-    elif mode == "entity-only":
-        model = ScalarModel(entity_spec, vocab, seed=cfg.seed)
-        result = train_baseline(model, split, cfg, input_mode="entities")
-    else:
-        raise ValueError(f"unknown training mode {mode!r}")
+        return model, "tokens"
+    if mode == "baseline":
+        return ScalarModel(detector_spec, vocab, seed=cfg.seed), "tokens"
+    if mode == "entity-only":
+        return ScalarModel(entity_spec, vocab, seed=cfg.seed), "entities"
+    raise ValueError(f"unknown training mode {mode!r}")
+
+
+def _train_single(mode, split, evaluate_test, cfg, detector_spec, entity_spec, out, scale_by_alpha):
+    vocab = build_vocabulary(split.train, cfg.min_token_freq)
+    model, input_mode = _build_model(mode, cfg, detector_spec, entity_spec, vocab)
+    result = train(model, split, cfg, input_mode)
     save_checkpoint(result.model, out / "checkpoint.json")
     _write_history(out / "history.jsonl", result.history)
     report = None
-    if test_part is not None:
-        input_mode = "entities" if mode == "entity-only" else "tokens"
-        report = evaluate_model(result.model, test_part, cfg.max_len, input_mode=input_mode, scale_by_alpha=scale_by_alpha)
+    if evaluate_test:
+        report = evaluate_model(result.model, split.test, cfg.max_len, input_mode=input_mode, scale_by_alpha=scale_by_alpha)
         _write_json(out / "report.json", report.to_dict())
         (out / "report.txt").write_text(report.format_table() + "\n", encoding="utf-8")
     return result, report
@@ -173,22 +172,23 @@ def cmd_train(args):
     cfg, detector_spec, entity_spec, scale_by_alpha, resolved = _resolve_train_setup(args)
     train_part = load_corpus(args.train)
     val_part = load_corpus(args.val)
-    test_part = load_corpus(args.test) if args.test else None
+    test_part = load_corpus(args.test) if args.test else Corpus((), name="unused")
+    split = SplitResult(train_part, val_part, test_part)
+    evaluate_test = bool(args.test)
     out = _out_dir(args)
-    split_parts = (train_part, val_part, test_part)
     if args.runs <= 1:
-        result, report = _train_single(args.mode, split_parts, cfg, detector_spec, entity_spec, out, scale_by_alpha)
+        result, report = _train_single(args.mode, split, evaluate_test, cfg, detector_spec, entity_spec, out, scale_by_alpha)
         if report is not None:
             print(report.format_table())
     else:
-        from dataclasses import replace
-
         reports = []
         for r in range(args.runs):
             run_cfg = replace(cfg, seed=cfg.seed + r)
             run_dir = out / f"run-{r:02d}"
             run_dir.mkdir(parents=True, exist_ok=True)
-            _, report = _train_single(args.mode, split_parts, run_cfg, detector_spec, entity_spec, run_dir, scale_by_alpha)
+            _, report = _train_single(
+                args.mode, split, evaluate_test, run_cfg, detector_spec, entity_spec, run_dir, scale_by_alpha
+            )
             if report is not None:
                 reports.append(report)
         if reports:
@@ -262,8 +262,6 @@ def cmd_grid_alpha(args):
     cfg, detector_spec, entity_spec, _, resolved = _resolve_train_setup(args)
     train_part = load_corpus(args.train)
     val_part = load_corpus(args.val)
-    from .corpus import SplitResult
-
     split = SplitResult(train_part, val_part, Corpus((), name="unused"))
     best_alpha, rows = grid_search_alpha(split, cfg, detector_spec, entity_spec)
     out = _out_dir(args)

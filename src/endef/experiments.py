@@ -14,7 +14,7 @@ from .framework import make_endef_model
 from .metrics import aggregate_reports
 from .models import BAG_OF_EMBEDDINGS, EncoderSpec, ScalarModel
 from .synthetic import BiasSpec, generate
-from .training import TrainConfig, evaluate_model, train, train_baseline
+from .training import TrainConfig, evaluate_model, train
 from .vocab import build_vocabulary
 
 # Entity fake fractions flip hard between periods: half the entities go
@@ -108,7 +108,7 @@ def run_paired_comparison(bias_spec, detector_spec, entity_spec, cfg, seeds):
     for seed in seeds:
         run_cfg = replace(cfg, seed=seed)
         base = ScalarModel(detector_spec, vocab, seed=seed)
-        train_baseline(base, split, run_cfg)
+        train(base, split, run_cfg)
         baseline_reports.append(evaluate_model(base, split.test, run_cfg.max_len))
         fused = make_endef_model(detector_spec, entity_spec, vocab, seed=seed, alpha=cfg.alpha, beta=cfg.beta)
         train(fused, split, run_cfg)
@@ -127,7 +127,7 @@ def run_entity_only_probe(bias_spec, entity_spec, cfg, seed=0):
     vocab = build_vocabulary(split.train, cfg.min_token_freq)
     probe_cfg = replace(cfg, seed=seed, augment=replace(cfg.augment, enabled=False))
     model = ScalarModel(entity_spec, vocab, seed=seed)
-    train_baseline(model, split, probe_cfg, input_mode="entities")
+    train(model, split, probe_cfg, input_mode="entities")
     train_report = evaluate_model(model, split.train, probe_cfg.max_len, input_mode="entities")
     test_report = evaluate_model(model, split.test, probe_cfg.max_len, input_mode="entities")
     return {"train_acc": train_report.acc, "test_auc": test_report.auc, "model": model}

@@ -43,9 +43,6 @@ class EndefModel:
     def vocab(self):
         return self.detector.vocab
 
-    def copy(self):
-        return EndefModel(self.entity_model.copy(), self.detector.copy(), self.alpha, self.beta)
-
 
 def make_endef_model(detector_spec, entity_spec, vocab, *, seed=0, alpha=DEFAULT_ALPHA, beta=DEFAULT_BETA):
     """Build both branches; the detector initializes from `seed`, the entity branch from a derived seed."""
@@ -54,118 +51,103 @@ def make_endef_model(detector_spec, entity_spec, vocab, *, seed=0, alpha=DEFAULT
     return EndefModel(entity_model, detector, alpha, beta)
 
 
-@dataclass(frozen=True)
-class ForwardRecord:
-    """Branch logits and the fused probability for one sample."""
-
-    entity_logit: float
-    detector_logit: float
-    fused_prob: float
-
-
-def fused_forward(model, piece, max_len=MAX_SEQ_LEN):
-    """Evaluate both branches and fuse: sigmoid(alpha * detector + (1 - alpha) * entity).
-
-    An empty entity list feeds a single [PAD] token to the entity branch so
-    its logit stays well-defined.
-    """
-    ids_content = model.detector.vocab.encode_tokens(piece.tokens, max_len)
-    ids_entity = model.entity_model.vocab.encode_entities(piece.entities, max_len)
-    r_entity = model.entity_model.forward(ids_entity)
-    r_detector = model.detector.forward(ids_content)
-    fused = sigmoid(model.alpha * r_detector + (1.0 - model.alpha) * r_entity)
-    return ForwardRecord(r_entity, r_detector, fused)
+def encode_input(vocab, piece, max_len, input_mode):
+    """Token ids of a piece's token stream or of its entity mentions (a lone [PAD] when it has none)."""
+    if input_mode == "tokens":
+        return vocab.encode_tokens(piece.tokens, max_len)
+    if input_mode == "entities":
+        return vocab.encode_entities(piece.entities, max_len)
+    raise ModelError(f"unknown input_mode {input_mode!r}")
 
 
-def loss_overall(fused_prob, label):
-    """Cross-entropy of the fused prediction against the label."""
-    return binary_cross_entropy(fused_prob, label)
+def branches(model):
+    """The encoders of a model by name; a single encoder is a detector without an entity branch."""
+    if isinstance(model, EndefModel):
+        return {"detector": model.detector, "entity": model.entity_model}
+    return {"detector": model}
 
 
-def loss_entity(entity_logit, label):
-    """Cross-entropy of the entity branch alone (auxiliary supervision)."""
-    return binary_cross_entropy(sigmoid(entity_logit), label)
+def loss_total(model, batch, max_len=MAX_SEQ_LEN, stop_grad_entity_from_overall=False, input_mode="tokens"):
+    """Mean fused loss plus beta times mean entity loss, with gradients for every branch.
 
-
-def loss_total(model, batch, max_len=MAX_SEQ_LEN, stop_grad_entity_from_overall=False):
-    """Mean fused loss plus beta times mean entity loss, with gradients for both branches.
-
-    Returns (loss, {"detector": grads, "entity": grads}). The fused term
-    backpropagates into both branches (the fusion couples them); the
+    Returns (loss, grads) with grads keyed like `branches(model)`. The fused
+    term backpropagates into both branches (the fusion couples them); the
     auxiliary entity term touches only the entity branch. With
     stop_grad_entity_from_overall the fused term's gradient into the entity
-    branch is suppressed.
+    branch is suppressed. A single encoder is this objective with alpha = 1,
+    beta = 0 and no entity branch. input_mode picks the detector's input
+    view; the entity branch always reads the entity mentions.
     """
     if len(batch) == 0:
         raise ModelError("loss_total needs a non-empty batch")
+    encoders = branches(model)
+    detector, entity = encoders["detector"], encoders.get("entity")
+    alpha, beta = (1.0, 0.0) if entity is None else (model.alpha, model.beta)
     inv = 1.0 / len(batch)
-    g_det = np.zeros_like(model.detector.params)
-    g_ent = np.zeros_like(model.entity_model.params)
+    grads = {name: np.zeros_like(enc.params) for name, enc in encoders.items()}
     total_overall = 0.0
     total_entity = 0.0
     for piece in batch:
-        ids_c = model.detector.vocab.encode_tokens(piece.tokens, max_len)
-        ids_e = model.entity_model.vocab.encode_entities(piece.entities, max_len)
-        r_det, cache_det = model.detector._forward_cache(ids_c)
-        r_ent, cache_ent = model.entity_model._forward_cache(ids_e)
-        fused = sigmoid(model.alpha * r_det + (1.0 - model.alpha) * r_ent)
-        p_ent = sigmoid(r_ent)
+        r_det, cache_det = detector._forward_cache(encode_input(detector.vocab, piece, max_len, input_mode))
+        if entity is None:
+            fused = sigmoid(r_det)
+            l_entity = 0.0
+        else:
+            r_ent, cache_ent = entity._forward_cache(encode_input(entity.vocab, piece, max_len, "entities"))
+            fused = sigmoid(alpha * r_det + (1.0 - alpha) * r_ent)
+            p_ent = sigmoid(r_ent)
+            l_entity = binary_cross_entropy(p_ent, piece.label)
         l_overall = binary_cross_entropy(fused, piece.label)
-        l_entity = binary_cross_entropy(p_ent, piece.label)
-        if not math.isfinite(l_overall + model.beta * l_entity):
+        if not math.isfinite(l_overall + beta * l_entity):
             raise ModelError(f"non-finite loss on sample {piece.id!r}")
         total_overall += l_overall
         total_entity += l_entity
         residual = fused - piece.label
-        g_det += model.detector._backward_from_cache(cache_det, model.alpha * residual * inv)
-        up_ent = model.beta * (p_ent - piece.label) * inv
-        if not stop_grad_entity_from_overall:
-            up_ent += (1.0 - model.alpha) * residual * inv
-        g_ent += model.entity_model._backward_from_cache(cache_ent, up_ent)
-    loss = total_overall * inv + model.beta * (total_entity * inv)
-    return loss, {"detector": g_det, "entity": g_ent}
+        grads["detector"] += detector._backward_from_cache(cache_det, alpha * residual * inv)
+        if entity is not None:
+            up_ent = beta * (p_ent - piece.label) * inv
+            if not stop_grad_entity_from_overall:
+                up_ent += (1.0 - alpha) * residual * inv
+            grads["entity"] += entity._backward_from_cache(cache_ent, up_ent)
+    loss = total_overall * inv + beta * (total_entity * inv)
+    return loss, grads
 
 
-def debiased_predict(model, piece, max_len=MAX_SEQ_LEN, scale_by_alpha=False):
-    """Detector-only probability; the entity branch is never evaluated.
+def logits(encoder, pieces, max_len=MAX_SEQ_LEN, input_mode="tokens"):
+    """The raw logit of one encoder for every piece, read from the chosen input view."""
+    return [encoder.forward(encode_input(encoder.vocab, p, max_len, input_mode)) for p in pieces]
 
-    scale_by_alpha multiplies the detector logit by the fusion weight before
-    the sigmoid; rankings (AUC-family metrics) are unaffected either way.
+
+def score(model, pieces, max_len=MAX_SEQ_LEN, input_mode="tokens", scale_by_alpha=False):
+    """Detector-only probabilities for every piece; the entity branch is never evaluated.
+
+    scale_by_alpha multiplies a fused model's detector logit by the fusion
+    weight before the sigmoid; rankings (AUC-family metrics) are unaffected
+    either way, and a single encoder has nothing to scale.
     """
-    ids = model.detector.vocab.encode_tokens(piece.tokens, max_len)
-    logit = model.detector.forward(ids)
-    if scale_by_alpha:
-        logit = model.alpha * logit
-    return sigmoid(logit)
-
-
-@dataclass(frozen=True)
-class CaseRecord:
-    """Diagnostic probabilities for one sample."""
-
-    p_entity: float
-    p_detector: float
-    p_fused: float
-
-
-def biased_predict(model, piece, max_len=MAX_SEQ_LEN):
-    """Expose sigmoid of each branch logit plus the fused probability."""
-    rec = fused_forward(model, piece, max_len)
-    return CaseRecord(sigmoid(rec.entity_logit), sigmoid(rec.detector_logit), rec.fused_prob)
+    r = logits(branches(model)["detector"], pieces, max_len, input_mode)
+    if scale_by_alpha and isinstance(model, EndefModel):
+        r = [model.alpha * x for x in r]
+    return np.array([sigmoid(x) for x in r], dtype=np.float64)
 
 
 def case_report(model, corpus, max_len=MAX_SEQ_LEN, scale_by_alpha=False):
-    """Per-sample diagnostic rows (corpus order) for case-by-case analysis."""
+    """Per-sample diagnostic rows (corpus order): each branch's probability, the fused one and the debiased one."""
+    if not isinstance(model, EndefModel):
+        raise ModelError("case-report needs a fused endef_model checkpoint, not a single-encoder scalar_model")
+    alpha = model.alpha
+    r_det = logits(model.detector, corpus, max_len)
+    r_ent = logits(model.entity_model, corpus, max_len, "entities")
     rows = []
-    for piece in corpus:
-        case = biased_predict(model, piece, max_len)
+    for piece, d, e in zip(corpus, r_det, r_ent):
+        p_detector = sigmoid(d)
         rows.append(
             {
                 "id": piece.id,
-                "p_entity": case.p_entity,
-                "p_detector": case.p_detector,
-                "p_fused": case.p_fused,
-                "p_debiased": debiased_predict(model, piece, max_len, scale_by_alpha),
+                "p_entity": sigmoid(e),
+                "p_detector": p_detector,
+                "p_fused": sigmoid(alpha * d + (1.0 - alpha) * e),
+                "p_debiased": sigmoid(alpha * d) if scale_by_alpha else p_detector,
                 "label": piece.label,
             }
         )

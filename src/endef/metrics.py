@@ -85,7 +85,7 @@ def roc_points(pred):
     return fpr, tpr
 
 
-def sp_auc(pred, maxfpr=DEFAULT_MAXFPR, method="trapezoid"):
+def sp_auc(pred, maxfpr=DEFAULT_MAXFPR):
     """Standardized partial AUC over the low-false-positive region FPR <= maxfpr.
 
     The partial area is rescaled so a perfect classifier scores 1.0 and a
@@ -94,13 +94,10 @@ def sp_auc(pred, maxfpr=DEFAULT_MAXFPR, method="trapezoid"):
         0.5 * (1 + (pAUC - minarea) / (maxarea - minarea))
         maxarea = maxfpr,  minarea = 0.5 * maxfpr**2
 
-    method "trapezoid" (default) interpolates linearly within the ROC and at
-    the FPR cut; "step" integrates the lower staircase instead.
+    The area interpolates linearly within the ROC and at the FPR cut.
     """
     if not 0.0 < maxfpr <= 1.0:
         raise MetricsError("maxfpr must lie in (0, 1]")
-    if method not in ("trapezoid", "step"):
-        raise MetricsError(f"unknown integration method {method!r}")
     fpr, tpr = roc_points(pred)
     pauc = 0.0
     for k in range(1, fpr.size):
@@ -112,10 +109,7 @@ def sp_auc(pred, maxfpr=DEFAULT_MAXFPR, method="trapezoid"):
             t = (maxfpr - x0) / (x1 - x0)
             x1 = maxfpr
             y1 = y0 + t * (y1 - y0)
-        if method == "trapezoid":
-            pauc += 0.5 * (y0 + y1) * (x1 - x0)
-        else:
-            pauc += y0 * (x1 - x0)
+        pauc += 0.5 * (y0 + y1) * (x1 - x0)
     minarea = 0.5 * maxfpr * maxfpr
     maxarea = maxfpr
     return 0.5 * (1.0 + (pauc - minarea) / (maxarea - minarea))
@@ -212,7 +206,7 @@ class EvalReport:
         return f"{header}\n{row}"
 
 
-def evaluate(pred, maxfpr=DEFAULT_MAXFPR, spauc_method="trapezoid"):
+def evaluate(pred, maxfpr=DEFAULT_MAXFPR):
     """Assemble the full metric report; AUC metrics require both classes present."""
     f1 = f1_scores(pred)
     c = confusion(pred)
@@ -220,7 +214,7 @@ def evaluate(pred, maxfpr=DEFAULT_MAXFPR, spauc_method="trapezoid"):
         macf1=f1.macf1,
         acc=f1.acc,
         auc=roc_auc(pred),
-        spauc=sp_auc(pred, maxfpr, spauc_method),
+        spauc=sp_auc(pred, maxfpr),
         f1_real=f1.f1_real,
         f1_fake=f1.f1_fake,
         tp=c.tp,

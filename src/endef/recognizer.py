@@ -11,8 +11,9 @@ class GazetteerError(ValueError):
     """Invalid gazetteer contents or misuse of the recognizer."""
 
 
-def _normalize_surface(s):
-    return " ".join(s.split())
+def _surface_key(surface, fold):
+    # whitespace-normalized and, for a case-insensitive gazetteer, case-folded
+    return " ".join((surface.lower() if fold else surface).split())
 
 
 @dataclass(frozen=True)
@@ -25,7 +26,7 @@ class Gazetteer:
     def __post_init__(self):
         object.__setattr__(self, "entries", frozenset(self.entries))
         for e in self.entries:
-            if not isinstance(e, str) or not _normalize_surface(e):
+            if not isinstance(e, str) or not e.split():
                 raise GazetteerError("gazetteer entries must be non-empty strings")
 
     @classmethod
@@ -44,50 +45,53 @@ class Gazetteer:
         # collisions the lexicographically smallest entry wins
         table = {}
         for e in sorted(self.entries):
-            key = _normalize_surface(e if self.case_sensitive else e.lower())
-            table.setdefault(key, e)
+            table.setdefault(_surface_key(e, not self.case_sensitive), e)
         return table
 
     @cached_property
     def max_tokens(self):
         return max(len(e.split()) for e in self.entries) if self.entries else 0
 
-    def canonical(self, surface):
-        """The stored entry matching `surface`, or None."""
-        key = _normalize_surface(surface if self.case_sensitive else surface.lower())
-        return self._lookup.get(key)
-
-    def __contains__(self, surface):
-        return self.canonical(surface) is not None
-
     def __len__(self):
         return len(self.entries)
+
+
+def longest_matches(items, max_span, table, key):
+    """Longest-match-leftmost scan of a sequence against a lookup table.
+
+    The span items[start:end] matches when `table` holds key(items[start:end]).
+    At each position the longest matching span of at most max_span items
+    wins and scanning resumes after it, so shorter matches overlapping a
+    taken span are suppressed. Returns [(start, end, table value), ...].
+    """
+    found = []
+    i, n = 0, len(items)
+    while i < n:
+        for end in range(min(i + max_span, n), i, -1):
+            value = table.get(key(items[i:end]))
+            if value is not None:
+                found.append((i, end, value))
+                i = end
+                break
+        else:
+            i += 1
+    return found
 
 
 def recognize(tokens, gazetteer, *, dedupe=False):
     """All maximal gazetteer matches in `tokens`, scanning left to right.
 
-    At each position the longest matching span wins and scanning resumes
-    after it, so shorter matches overlapping a taken span are suppressed.
-    Duplicate mentions are kept in occurrence order unless `dedupe` is set.
+    A span matches when its whitespace-normalized surface (case-folded for a
+    case-insensitive gazetteer) is an entry. Duplicate mentions are kept in
+    occurrence order unless `dedupe` is set.
     """
     if len(gazetteer) == 0:
         raise GazetteerError("recognition needs a non-empty gazetteer")
-    tokens = list(tokens)
-    found = []
-    i, n = 0, len(tokens)
-    while i < n:
-        hit = None
-        for k in range(min(gazetteer.max_tokens, n - i), 0, -1):
-            canon = gazetteer.canonical(" ".join(tokens[i : i + k]))
-            if canon is not None:
-                hit = (k, canon)
-                break
-        if hit is None:
-            i += 1
-        else:
-            found.append(hit[1])
-            i += hit[0]
+    fold = not gazetteer.case_sensitive
+    spans = longest_matches(
+        tuple(tokens), gazetteer.max_tokens, gazetteer._lookup, lambda span: _surface_key(" ".join(span), fold)
+    )
+    found = [e for _, _, e in spans]
     if dedupe:
         found = list(dict.fromkeys(found))
     return tuple(found)

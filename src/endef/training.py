@@ -1,10 +1,11 @@
-"""Mini-batch training loops: augmentation wiring, early stopping, alpha grid search.
+"""Mini-batch training: augmentation wiring, early stopping, alpha grid search.
 
-Both trainers share one loop skeleton and one pair of seeded random streams
-(shuffling, augmentation), so a fused model run with alpha = 1 and beta = 0
-walks bit-for-bit the same detector trajectory as the plain baseline trainer
-under the same seed. Validation and test data are never augmented, and the
-vocabulary must come from the train part alone.
+One loop trains a fused model or a single encoder: a single encoder is the
+fused objective without an entity branch, so a fused model run with
+alpha = 1 and beta = 0 walks bit-for-bit the same detector trajectory as the
+plain baseline under the same seed (both draw from one pair of seeded
+random streams for shuffling and augmentation). Validation and test data
+are never augmented, and the vocabulary must come from the train part alone.
 """
 
 import math
@@ -14,16 +15,9 @@ import numpy as np
 
 from . import augmentation as aug
 from .augmentation import AUGMENT_ACTIONS, AUGMENT_KINDS, recompute_entities
-from .framework import EndefModel, debiased_predict, loss_total, make_endef_model
+from .framework import branches, loss_total, make_endef_model, score
 from .metrics import DEFAULT_MAXFPR, PredictionSet, evaluate, f1_scores
-from .models import (
-    MAX_SEQ_LEN,
-    AdamState,
-    ModelError,
-    adam_step,
-    binary_cross_entropy,
-    sigmoid,
-)
+from .models import MAX_SEQ_LEN, AdamState, ModelError, adam_step
 from .vocab import build_vocabulary
 
 
@@ -127,37 +121,13 @@ def _maybe_augment(piece, settings, rng):
     return aug.augment(piece, policy, rng)
 
 
-def _encode_input(vocab, piece, max_len, input_mode):
-    if input_mode == "tokens":
-        return vocab.encode_tokens(piece.tokens, max_len)
-    if input_mode == "entities":
-        return vocab.encode_entities(piece.entities, max_len)
-    raise TrainingError(f"unknown input_mode {input_mode!r}")
-
-
 def labels_of(corpus):
     return np.array([p.label for p in corpus], dtype=np.int64)
 
 
-def detector_scores(model, corpus, max_len=MAX_SEQ_LEN, scale_by_alpha=False):
-    """Detector-only probabilities for every piece (never augments, never touches the entity branch)."""
-    return np.array([debiased_predict(model, p, max_len, scale_by_alpha) for p in corpus], dtype=np.float64)
-
-
-def scalar_scores(model, corpus, max_len=MAX_SEQ_LEN, input_mode="tokens"):
-    """Sigmoid probabilities of a single encoder over a corpus."""
-    return np.array(
-        [sigmoid(model.forward(_encode_input(model.vocab, p, max_len, input_mode))) for p in corpus],
-        dtype=np.float64,
-    )
-
-
 def evaluate_model(model, corpus, max_len=MAX_SEQ_LEN, maxfpr=DEFAULT_MAXFPR, input_mode="tokens", scale_by_alpha=False):
     """Full metric report for a trained model on an un-augmented corpus."""
-    if isinstance(model, EndefModel):
-        scores = detector_scores(model, corpus, max_len, scale_by_alpha)
-    else:
-        scores = scalar_scores(model, corpus, max_len, input_mode)
+    scores = score(model, corpus, max_len, input_mode, scale_by_alpha)
     return evaluate(PredictionSet(scores, labels_of(corpus)), maxfpr)
 
 
@@ -169,15 +139,24 @@ def _check_split(split):
             raise TrainingError(f"{label} part is empty")
 
 
-def _run_loop(split, cfg, *, step_fn, val_score_fn, snapshot_fn, restore_fn):
+def train(model, split, cfg, input_mode="tokens"):
+    """Train a fused EndefModel or a single ScalarModel; early stop on the detector's validation macro F1.
+
+    input_mode picks the detector's input view; "entities" trains a single
+    encoder on entity mentions alone, which is how an entity-only shortcut
+    classifier is built. The model is updated in place and, after the run,
+    holds the parameters of the best validation epoch (not the last one).
+    """
     _check_split(split)
+    encoders = branches(model)
+    opts = {name: AdamState.zeros(enc.num_params) for name, enc in encoders.items()}
     shuffle_rng, augment_rng = _rng_streams(cfg.seed)
     train_pieces = [truncate_piece(p, cfg.max_len) for p in split.train]
     val_pieces = [truncate_piece(p, cfg.max_len) for p in split.validation]
-    val_labels = np.array([p.label for p in val_pieces], dtype=np.int64)
+    val_labels = labels_of(val_pieces)
     n = len(train_pieces)
     best_metric = -math.inf
-    best_state = snapshot_fn()
+    best_params = {name: enc.params.copy() for name, enc in encoders.items()}
     best_epoch = 0
     bad_epochs = 0
     history = []
@@ -190,99 +169,36 @@ def _run_loop(split, cfg, *, step_fn, val_score_fn, snapshot_fn, restore_fn):
             batch = [_maybe_augment(train_pieces[i], cfg.augment, augment_rng) for i in batch_idx]
             step += 1
             try:
-                loss = step_fn(batch, step)
+                loss, grads = loss_total(model, batch, cfg.max_len, cfg.stop_grad_entity_from_overall, input_mode)
             except ModelError as exc:
                 raise TrainingError(f"epoch {epoch}, batch {start // cfg.batch_size + 1}: {exc}") from exc
+            for name, enc in encoders.items():
+                enc.params = adam_step(enc.params, grads[name], opts[name], cfg.lr, step)
+            # dense gradients are parameter-sized; free them before the next batch allocates its own
+            del grads
             loss_sum += loss * len(batch_idx)
-        val_macf1 = f1_scores(PredictionSet(val_score_fn(val_pieces), val_labels)).macf1
+        val_scores = score(model, val_pieces, cfg.max_len, input_mode)
+        val_macf1 = f1_scores(PredictionSet(val_scores, val_labels)).macf1
         improved = val_macf1 > best_metric
         history.append(
             {"epoch": epoch, "train_loss": loss_sum / n, "val_macf1": val_macf1, "improved": improved}
         )
         if improved:
             best_metric = val_macf1
-            best_state = snapshot_fn()
+            best_params = {name: enc.params.copy() for name, enc in encoders.items()}
             best_epoch = epoch
             bad_epochs = 0
         else:
             bad_epochs += 1
             if bad_epochs >= cfg.patience:
                 break
-    restore_fn(best_state)
-    return history, best_epoch, best_metric
-
-
-def train(model, split, cfg):
-    """Fused training of both branches; early stop on validation macro F1 of the detector.
-
-    The model is updated in place and, after the run, holds the parameters of
-    the best validation epoch (not the last one).
-    """
-    opt_det = AdamState.zeros(model.detector.num_params)
-    opt_ent = AdamState.zeros(model.entity_model.num_params)
-
-    def step_fn(batch, step):
-        loss, grads = loss_total(model, batch, cfg.max_len, cfg.stop_grad_entity_from_overall)
-        model.detector.params = adam_step(model.detector.params, grads["detector"], opt_det, cfg.lr, step)
-        model.entity_model.params = adam_step(model.entity_model.params, grads["entity"], opt_ent, cfg.lr, step)
-        return loss
-
-    def val_score_fn(pieces):
-        return np.array([debiased_predict(model, p, cfg.max_len) for p in pieces], dtype=np.float64)
-
-    def snapshot_fn():
-        return (model.detector.params.copy(), model.entity_model.params.copy())
-
-    def restore_fn(state):
-        model.detector.params = state[0].copy()
-        model.entity_model.params = state[1].copy()
-
-    history, best_epoch, best_metric = _run_loop(
-        split, cfg, step_fn=step_fn, val_score_fn=val_score_fn, snapshot_fn=snapshot_fn, restore_fn=restore_fn
-    )
+    for name, enc in encoders.items():
+        enc.params = best_params[name]
     return TrainResult(model, history, best_epoch, best_metric)
 
 
-def train_baseline(model, split, cfg, input_mode="tokens"):
-    """Plain cross-entropy training of a single encoder (no entity branch).
-
-    input_mode "entities" trains the encoder on entity mentions alone, which
-    is how an entity-only shortcut classifier is built.
-    """
-    opt = AdamState.zeros(model.num_params)
-
-    def step_fn(batch, step):
-        inv = 1.0 / len(batch)
-        grads = np.zeros_like(model.params)
-        total = 0.0
-        for piece in batch:
-            ids = _encode_input(model.vocab, piece, cfg.max_len, input_mode)
-            logit, cache = model._forward_cache(ids)
-            prob = sigmoid(logit)
-            l = binary_cross_entropy(prob, piece.label)
-            if not math.isfinite(l):
-                raise ModelError(f"non-finite loss on sample {piece.id!r}")
-            total += l
-            grads += model._backward_from_cache(cache, (prob - piece.label) * inv)
-        model.params = adam_step(model.params, grads, opt, cfg.lr, step)
-        return total * inv
-
-    def val_score_fn(pieces):
-        return np.array(
-            [sigmoid(model.forward(_encode_input(model.vocab, p, cfg.max_len, input_mode))) for p in pieces],
-            dtype=np.float64,
-        )
-
-    def snapshot_fn():
-        return model.params.copy()
-
-    def restore_fn(state):
-        model.params = state.copy()
-
-    history, best_epoch, best_metric = _run_loop(
-        split, cfg, step_fn=step_fn, val_score_fn=val_score_fn, snapshot_fn=snapshot_fn, restore_fn=restore_fn
-    )
-    return TrainResult(model, history, best_epoch, best_metric)
+# the plain baseline is `train` on a single encoder; the name stays for callers
+train_baseline = train
 
 
 def grid_search_alpha(split, cfg, detector_spec, entity_spec):

@@ -22,11 +22,11 @@ from endef.experiments import (
     run_paired_comparison,
     split_for,
 )
-from endef.framework import debiased_predict, fused_forward, loss_entity, loss_total, make_endef_model
+from endef.framework import logits, loss_total, make_endef_model, score
 from endef.metrics import PredictionSet, roc_auc, sp_auc
-from endef.models import BAG_OF_EMBEDDINGS, CONV_NGRAM, EncoderSpec, ScalarModel
+from endef.models import BAG_OF_EMBEDDINGS, CONV_NGRAM, EncoderSpec, ScalarModel, binary_cross_entropy, sigmoid
 from endef.synthetic import generate
-from endef.training import TrainConfig, train, train_baseline
+from endef.training import TrainConfig, train
 from endef.vocab import SPECIAL_TOKENS, Vocabulary, build_vocabulary
 
 from conftest import finite_difference, make_piece, relu_safety_margin
@@ -117,11 +117,11 @@ def test_criterion_2_inference_entity_independence():
     model = make_endef_model(default_detector_spec(), default_entity_spec(), vocab, seed=0)
     train(model, split, cfg)
     pieces = tuple(split.validation) + tuple(split.test)
-    before = [debiased_predict(model, p) for p in pieces]
+    before = list(score(model, pieces))
     for noise_seed in range(3):
         noise = np.random.default_rng(noise_seed)
         model.entity_model.params = noise.normal(size=model.entity_model.num_params)
-        after = [debiased_predict(model, p) for p in pieces]
+        after = list(score(model, pieces))
         assert after == before  # bit-identical floats
     _report(2, f"randomizing the entity branch changed none of {len(pieces)} detector outputs")
 
@@ -173,7 +173,8 @@ def test_criterion_4_loss_algebra_and_trajectory_equivalence():
         without = make_endef_model(spec, spec, vocab, seed=seed, alpha=0.8, beta=0.0)
         lb = loss_total(with_beta, batch)[0]
         l0 = loss_total(without, batch)[0]
-        mean_entity = sum(loss_entity(fused_forward(with_beta, p).entity_logit, p.label) for p in batch) / len(batch)
+        r_ent = logits(with_beta.entity_model, batch, input_mode="entities")
+        mean_entity = sum(binary_cross_entropy(sigmoid(r), p.label) for r, p in zip(r_ent, batch)) / len(batch)
         assert abs((lb - l0) - beta * mean_entity) <= 1e-12
 
     # alpha=1, beta=0 fused training walks the baseline trajectory bit for bit
@@ -185,7 +186,7 @@ def test_criterion_4_loss_algebra_and_trajectory_equivalence():
     det_spec = EncoderSpec(BAG_OF_EMBEDDINGS, embed_dim=8, hidden_dim=12)
     ent_spec = EncoderSpec(BAG_OF_EMBEDDINGS, embed_dim=6, hidden_dim=8)
     baseline = ScalarModel(det_spec, cv, seed=11)
-    base_result = train_baseline(baseline, split, cfg)
+    base_result = train(baseline, split, cfg)
     fused = make_endef_model(det_spec, ent_spec, cv, seed=11, alpha=1.0, beta=0.0)
     fused_result = train(fused, split, cfg)
     assert np.array_equal(fused.detector.params, baseline.params)

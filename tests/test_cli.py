@@ -291,3 +291,29 @@ def test_grid_alpha_command(spec_file, tmp_path, capsys):
     assert len(lines) == 12
     best = json.loads((out / "best_alpha.json").read_text())
     assert best["alpha"] == 1.0
+
+
+def test_case_report_on_single_encoder_checkpoint_fails_cleanly(spec_file, tmp_path, capsys):
+    split_dir = prepare_split_dir(tmp_path, spec_file)
+    config = _write_config(tmp_path / "config.json", max_epochs=1)
+    for mode in ("baseline", "entity-only"):
+        run_dir = tmp_path / f"run-{mode}"
+        assert run_cli(
+            "train",
+            "--train", split_dir / "train.jsonl",
+            "--val", split_dir / "val.jsonl",
+            "--config", config,
+            "--mode", mode,
+            "--out-dir", run_dir,
+        ) == 0
+        capsys.readouterr()
+        code = run_cli(
+            "case-report",
+            "--checkpoint", run_dir / "checkpoint.json",
+            "--corpus", split_dir / "test.jsonl",
+            "--out-dir", tmp_path / f"cases-{mode}",
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "case-report needs a fused endef_model checkpoint" in err
+        assert "attribute" not in err

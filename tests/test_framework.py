@@ -7,18 +7,17 @@ from hypothesis import strategies as st
 
 from endef.framework import (
     EndefModel,
-    biased_predict,
     case_report,
-    debiased_predict,
-    fused_forward,
+    encode_input,
     load_checkpoint,
-    loss_entity,
-    loss_overall,
+    logits,
     loss_total,
     make_endef_model,
     save_checkpoint,
+    score,
 )
-from endef.models import BAG_OF_EMBEDDINGS, CONV_NGRAM, ModelError, ScalarModel, sigmoid
+from endef.models import BAG_OF_EMBEDDINGS, CONV_NGRAM, ModelError, ScalarModel, binary_cross_entropy, sigmoid
+from endef.training import evaluate_model
 
 from conftest import (
     finite_difference,
@@ -50,58 +49,64 @@ def force_logits(model, r_det, r_ent):
         branch.layout.view(branch.params, "out_b")[0] = value
 
 
+def entity_logits(model, pieces):
+    return logits(model.entity_model, pieces, input_mode="entities")
+
+
 def test_fused_forward_zero_logits_give_half():
     model = small_model()
     force_logits(model, 0.0, 0.0)
-    rec = fused_forward(model, sample_batch()[0])
-    assert rec.fused_prob == 0.5
-    assert rec.detector_logit == 0.0 and rec.entity_logit == 0.0
+    piece = sample_batch()[0]
+    assert case_report(model, [piece])[0]["p_fused"] == 0.5
+    assert logits(model.detector, [piece]) == [0.0] and entity_logits(model, [piece]) == [0.0]
 
 
 def test_alpha_one_ignores_entity_branch():
     model = small_model(alpha=1.0)
     force_logits(model, 2.5, -40.0)
-    rec = fused_forward(model, sample_batch()[0])
-    assert rec.fused_prob == sigmoid(2.5)
+    assert case_report(model, sample_batch()[:1])[0]["p_fused"] == sigmoid(2.5)
 
 
 def test_fused_forward_fixed_values():
     # alpha=0.8, r_det=2.0, r_ent=-1.0 -> sigmoid(1.4)
     model = small_model(alpha=0.8)
     force_logits(model, 2.0, -1.0)
-    rec = fused_forward(model, sample_batch()[0])
+    fused = case_report(model, sample_batch()[:1])[0]["p_fused"]
     expect = 1.0 / (1.0 + math.exp(-(0.8 * 2.0 + 0.2 * -1.0)))
-    assert rec.fused_prob == pytest.approx(expect, abs=1e-15)
-    assert rec.fused_prob == pytest.approx(0.8022, abs=5e-5)
+    assert fused == pytest.approx(expect, abs=1e-15)
+    assert fused == pytest.approx(0.8022, abs=5e-5)
 
 
 def test_empty_entity_list_is_well_defined():
     model = small_model()
     piece = make_piece("e", ("w0",), (), 0, 0)
-    rec = fused_forward(model, piece)
-    assert math.isfinite(rec.entity_logit)
+    assert math.isfinite(entity_logits(model, [piece])[0])
 
 
 def test_loss_overall_values():
-    assert loss_overall(0.5, 1) == pytest.approx(math.log(2))
-    assert loss_overall(1.0 - 1e-15, 1) == pytest.approx(0.0, abs=1e-11)
-    assert loss_overall(0.8022, 0) == pytest.approx(-math.log(1 - 0.8022), abs=1e-12)
+    assert binary_cross_entropy(0.5, 1) == pytest.approx(math.log(2))
+    assert binary_cross_entropy(1.0 - 1e-15, 1) == pytest.approx(0.0, abs=1e-11)
+    assert binary_cross_entropy(0.8022, 0) == pytest.approx(-math.log(1 - 0.8022), abs=1e-12)
 
 
 def test_loss_entity_values():
-    assert loss_entity(0.0, 1) == pytest.approx(math.log(2))
-    assert loss_entity(-1.0, 0) == pytest.approx(-math.log(1.0 - sigmoid(-1.0)), abs=1e-12)
-    assert loss_entity(-1.0, 0) == pytest.approx(0.3133, abs=5e-5)
+    def entity_loss(logit, label):
+        return binary_cross_entropy(sigmoid(logit), label)
+
+    assert entity_loss(0.0, 1) == pytest.approx(math.log(2))
+    assert entity_loss(-1.0, 0) == pytest.approx(-math.log(1.0 - sigmoid(-1.0)), abs=1e-12)
+    assert entity_loss(-1.0, 0) == pytest.approx(0.3133, abs=5e-5)
     # clamping keeps extreme logits finite
-    assert math.isfinite(loss_entity(1e6, 0))
-    assert math.isfinite(loss_entity(-1e6, 1))
+    assert math.isfinite(entity_loss(1e6, 0))
+    assert math.isfinite(entity_loss(-1e6, 1))
 
 
 def test_loss_total_beta_zero_equals_overall_alone():
     model = small_model(beta=0.0)
     batch = sample_batch()
     loss, _ = loss_total(model, batch)
-    expect = sum(loss_overall(fused_forward(model, p).fused_prob, p.label) for p in batch) / len(batch)
+    rows = case_report(model, batch)
+    expect = sum(binary_cross_entropy(r["p_fused"], p.label) for r, p in zip(rows, batch)) / len(batch)
     assert loss == pytest.approx(expect, abs=1e-15)
 
 
@@ -112,9 +117,8 @@ def test_loss_total_decomposition_identity():
         model_0 = small_model(beta=0.0, seed=12)
         lb = loss_total(model_b, batch)[0]
         l0 = loss_total(model_0, batch)[0]
-        from endef.framework import fused_forward as ff
-
-        mean_entity = sum(loss_entity(ff(model_b, p).entity_logit, p.label) for p in batch) / len(batch)
+        r_ent = entity_logits(model_b, batch)
+        mean_entity = sum(binary_cross_entropy(sigmoid(r), p.label) for r, p in zip(r_ent, batch)) / len(batch)
         assert lb - l0 == pytest.approx(beta * mean_entity, abs=1e-12)
 
 
@@ -156,6 +160,21 @@ def test_loss_total_gradient_matches_finite_differences_all_kind_pairs():
         for branch_name, branch in (("detector", model.detector), ("entity", model.entity_model)):
             numeric = finite_difference(lambda: loss_total(model, batch)[0], branch.params)
             assert max_relative_error(grads[branch_name], numeric) < 1e-4, (det_kind, ent_kind, branch_name)
+    # a single encoder is the same objective with no entity branch, on either input view
+    for kind in (BAG_OF_EMBEDDINGS, CONV_NGRAM):
+        for input_mode in ("tokens", "entities"):
+            single = None
+            for seed in range(31, 131):
+                candidate = ScalarModel(tiny_spec(kind), tiny_vocab(), seed=seed)
+                ids = [encode_input(candidate.vocab, p, 170, input_mode) for p in batch]
+                if min(relu_safety_margin(candidate, i) for i in ids) > 1e-3:
+                    single = candidate
+                    break
+            assert single is not None, "no kink-safe random model found"
+            _, grads = loss_total(single, batch, input_mode=input_mode)
+            assert set(grads) == {"detector"}
+            numeric = finite_difference(lambda: loss_total(single, batch, input_mode=input_mode)[0], single.params)
+            assert max_relative_error(grads["detector"], numeric) < 1e-4, (kind, input_mode)
 
 
 def test_stop_grad_flag_suppresses_fused_path_into_entity_branch():
@@ -169,39 +188,61 @@ def test_stop_grad_flag_suppresses_fused_path_into_entity_branch():
 def test_debiased_predict_detector_only():
     model = small_model()
     force_logits(model, 0.0, 37.0)
-    piece = sample_batch()[0]
-    assert debiased_predict(model, piece) == 0.5
+    assert score(model, sample_batch()[:1])[0] == 0.5
 
 
 def test_debiased_predict_independent_of_entity_params():
     model = small_model(seed=19)
     pieces = sample_batch()
-    before = [debiased_predict(model, p) for p in pieces]
+    before = list(score(model, pieces))
     rng = np.random.default_rng(0)
     model.entity_model.params = rng.normal(size=model.entity_model.num_params)
-    after_random = [debiased_predict(model, p) for p in pieces]
+    after_random = list(score(model, pieces))
     model.entity_model.params = np.zeros(model.entity_model.num_params)
-    after_zero = [debiased_predict(model, p) for p in pieces]
+    after_zero = list(score(model, pieces))
     assert before == after_random == after_zero
+
+
+def test_score_never_evaluates_the_entity_branch(monkeypatch):
+    model = small_model(seed=19)
+    pieces = sample_batch()
+    expect = score(model, pieces)
+
+    def refuse(ids):
+        raise AssertionError("the entity branch was evaluated")
+
+    monkeypatch.setattr(model.entity_model, "forward", refuse)
+    monkeypatch.setattr(model.entity_model, "_forward_cache", refuse)
+    assert np.array_equal(score(model, pieces), expect)
+    assert 0.0 <= evaluate_model(model, pieces).macf1 <= 1.0
 
 
 def test_debiased_predict_scale_by_alpha_flag():
     model = small_model(alpha=0.8)
     force_logits(model, 2.0, 0.0)
     piece = sample_batch()[0]
-    assert debiased_predict(model, piece) == sigmoid(2.0)
-    assert debiased_predict(model, piece, scale_by_alpha=True) == sigmoid(0.8 * 2.0)
+    assert score(model, [piece])[0] == sigmoid(2.0)
+    assert score(model, [piece], scale_by_alpha=True)[0] == sigmoid(0.8 * 2.0)
 
 
 def test_biased_predict_consistency():
     model = small_model(seed=23)
     piece = sample_batch()[0]
-    case = biased_predict(model, piece)
-    rec = fused_forward(model, piece)
-    refused = sigmoid(model.alpha * rec.detector_logit + (1 - model.alpha) * rec.entity_logit)
-    assert abs(case.p_fused - refused) <= 1e-15
-    for value in (case.p_entity, case.p_detector, case.p_fused):
+    case = case_report(model, [piece])[0]
+    r_det = logits(model.detector, [piece])[0]
+    r_ent = entity_logits(model, [piece])[0]
+    refused = sigmoid(model.alpha * r_det + (1 - model.alpha) * r_ent)
+    assert abs(case["p_fused"] - refused) <= 1e-15
+    assert case["p_detector"] == sigmoid(r_det) and case["p_entity"] == sigmoid(r_ent)
+    for value in (case["p_entity"], case["p_detector"], case["p_fused"]):
         assert 0.0 <= value <= 1.0
+
+
+def test_case_report_scale_by_alpha_matches_score():
+    model = small_model(seed=23)
+    pieces = sample_batch()
+    rows = case_report(model, pieces, scale_by_alpha=True)
+    assert [r["p_debiased"] for r in rows] == list(score(model, pieces, scale_by_alpha=True))
 
 
 def test_case_report_fields():
@@ -256,8 +297,8 @@ def test_debiased_ranking_beats_fused_on_flipped_test_set():
     for seed in range(4):
         model = make_endef_model(default_detector_spec(), default_entity_spec(), vocab, seed=seed)
         train(model, split, replace(cfg, seed=seed))
-        deb = np.array([debiased_predict(model, p) for p in split.test])
-        fus = np.array([fused_forward(model, p).fused_prob for p in split.test])
+        deb = score(model, split.test)
+        fus = np.array([r["p_fused"] for r in case_report(model, split.test)])
         diffs.append(sp_auc(PredictionSet(deb, labels)) - sp_auc(PredictionSet(fus, labels)))
     assert sum(diffs) / len(diffs) > 0.0, diffs
 
@@ -271,8 +312,8 @@ def test_checkpoint_round_trip(tmp_path):
     assert loaded.alpha == model.alpha and loaded.beta == model.beta
     assert np.array_equal(loaded.detector.params, model.detector.params)
     assert np.array_equal(loaded.entity_model.params, model.entity_model.params)
-    piece = sample_batch()[0]
-    assert debiased_predict(loaded, piece) == debiased_predict(model, piece)
+    pieces = sample_batch()
+    assert np.array_equal(score(loaded, pieces), score(model, pieces))
 
     scalar = ScalarModel(tiny_spec(BAG_OF_EMBEDDINGS), tiny_vocab(), seed=3)
     save_checkpoint(scalar, path)

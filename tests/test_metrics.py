@@ -147,13 +147,6 @@ def test_sp_auc_range_and_validation():
         assert 0.0 <= value <= 1.0
     with pytest.raises(MetricsError):
         sp_auc(pset([0.2, 0.8], [0, 1]), maxfpr=0.0)
-    with pytest.raises(MetricsError):
-        sp_auc(pset([0.2, 0.8], [0, 1]), method="midpoint")
-
-
-def test_sp_auc_step_method_is_not_above_trapezoid():
-    for ps in random_prediction_sets(40, seed=12):
-        assert sp_auc(ps, method="step") <= sp_auc(ps, method="trapezoid") + 1e-12
 
 
 @settings(max_examples=50, deadline=None)

@@ -146,7 +146,7 @@ def test_content_signal_is_period_stable_and_learnable():
         split_for,
     )
     from endef.models import ScalarModel
-    from endef.training import evaluate_model, train_baseline
+    from endef.training import evaluate_model, train
     from endef.vocab import build_vocabulary
 
     spec = flipped_bias_spec(seed=7, n_train=600, n_val=120, n_test=120)
@@ -163,6 +163,6 @@ def test_content_signal_is_period_stable_and_learnable():
     vocab = build_vocabulary(split.train, 2)
     cfg = default_train_config(seed=0)
     model = ScalarModel(default_detector_spec(), vocab, seed=0)
-    train_baseline(model, split, cfg)
+    train(model, split, cfg)
     report = evaluate_model(model, split.test, cfg.max_len)
     assert report.acc > 0.6  # strictly above the 0.5 chance level, with margin

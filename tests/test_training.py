@@ -25,7 +25,6 @@ from endef.training import (
     evaluate_model,
     grid_search_alpha,
     train,
-    train_baseline,
     truncate_piece,
 )
 from endef.vocab import build_vocabulary
@@ -87,7 +86,7 @@ def test_empty_split_part_rejected():
     empty = SplitResult(split.train, Corpus((), name="empty"), split.test)
     model = ScalarModel(det_spec, vocab, seed=0)
     with pytest.raises(TrainingError, match="validation part is empty"):
-        train_baseline(model, empty, cfg)
+        train(model, empty, cfg)
 
 
 def test_early_stop_fires_after_patience_without_improvement():
@@ -96,7 +95,7 @@ def test_early_stop_fires_after_patience_without_improvement():
     split, vocab, det_spec, ent_spec, cfg = tiny_setup()
     cfg = replace(cfg, lr=1e-12, patience=1, max_epochs=10)
     model = ScalarModel(det_spec, vocab, seed=0)
-    result = train_baseline(model, split, cfg)
+    result = train(model, split, cfg)
     assert len(result.history) == 2
     assert result.best_epoch == 1
 
@@ -120,7 +119,7 @@ def test_alpha_one_beta_zero_matches_baseline_bit_for_bit():
     cfg = replace(cfg, seed=seed, max_epochs=4)
 
     baseline = ScalarModel(det_spec, vocab, seed=seed)
-    base_result = train_baseline(baseline, split, cfg)
+    base_result = train(baseline, split, cfg)
 
     fused = make_endef_model(det_spec, ent_spec, vocab, seed=seed, alpha=1.0, beta=0.0)
     fused_result = train(fused, split, cfg)
@@ -152,7 +151,7 @@ def test_augment_disabled_consumes_no_randomness():
     split, vocab, det_spec, ent_spec, cfg = tiny_setup()
     cfg = replace(cfg, augment=AugmentSettings(enabled=False))
     model = ScalarModel(det_spec, vocab, seed=1)
-    result = train_baseline(model, split, cfg)
+    result = train(model, split, cfg)
     assert len(result.history) >= 1
 
 
@@ -194,7 +193,7 @@ def test_baseline_sanity_floor_on_unbiased_corpus():
     vocab = build_vocabulary(split.train, 2)
     cfg = default_train_config(seed=0)
     model = ScalarModel(default_detector_spec(), vocab, seed=0)
-    train_baseline(model, split, cfg)
+    train(model, split, cfg)
     report = evaluate_model(model, split.test, cfg.max_len)
     assert report.macf1 > 0.8
 
@@ -208,7 +207,7 @@ def test_baseline_underperforms_its_unbiased_self_on_flipped_corpus():
         split = split_for(spec, corpus, seed=spec.seed)
         vocab = build_vocabulary(split.train, 2)
         model = ScalarModel(det_spec, vocab, seed=0)
-        train_baseline(model, split, cfg)
+        train(model, split, cfg)
         return evaluate_model(model, split.test, cfg.max_len)
 
     unbiased = run(unbiased_spec(seed=7, n_train=800, n_val=160, n_test=160))
