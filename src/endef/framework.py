@@ -76,7 +76,9 @@ def loss_total(model, batch, max_len=MAX_SEQ_LEN, stop_grad_entity_from_overall=
     stop_grad_entity_from_overall the fused term's gradient into the entity
     branch is suppressed. A single encoder is this objective with alpha = 1,
     beta = 0 and no entity branch. input_mode picks the detector's input
-    view; the entity branch always reads the entity mentions.
+    view; the entity branch always reads the entity mentions. Each sample's
+    sparse gradient is added into one dense accumulator per branch, and only
+    at the embedding rows that sample read.
     """
     if len(batch) == 0:
         raise ModelError("loss_total needs a non-empty batch")
@@ -103,12 +105,12 @@ def loss_total(model, batch, max_len=MAX_SEQ_LEN, stop_grad_entity_from_overall=
         total_overall += l_overall
         total_entity += l_entity
         residual = fused - piece.label
-        grads["detector"] += detector._backward_from_cache(cache_det, alpha * residual * inv)
+        detector._backward_from_cache(cache_det, alpha * residual * inv).add_to(grads["detector"], detector.layout)
         if entity is not None:
             up_ent = beta * (p_ent - piece.label) * inv
             if not stop_grad_entity_from_overall:
                 up_ent += (1.0 - alpha) * residual * inv
-            grads["entity"] += entity._backward_from_cache(cache_ent, up_ent)
+            entity._backward_from_cache(cache_ent, up_ent).add_to(grads["entity"], entity.layout)
     loss = total_overall * inv + beta * (total_entity * inv)
     return loss, grads
 

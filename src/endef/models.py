@@ -9,6 +9,7 @@ checks and optimizer state trivial.
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -100,17 +101,35 @@ class ParamLayout:
 
     def __init__(self, shapes):
         self.shapes = dict(shapes)
-        self.offsets = {}
+        self.slices = {}
         size = 0
         for name, shape in self.shapes.items():
-            self.offsets[name] = size
-            size += int(np.prod(shape))
+            stop = size + int(np.prod(shape))
+            self.slices[name] = (size, stop, tuple(shape))
+            size = stop
         self.size = size
 
-    def view(self, flat, name):
-        shape = self.shapes[name]
-        off = self.offsets[name]
-        return flat[off : off + int(np.prod(shape))].reshape(shape)
+    def view(self, flat, name, base=0):
+        """The named tensor inside `flat`, a vector that starts at offset `base` of the full layout."""
+        start, stop, shape = self.slices[name]
+        return flat[start - base : stop - base].reshape(shape)
+
+
+class SparseGrad(NamedTuple):
+    """One sample's parameter gradient: dense after the embedding table, summed rows for the ids it read.
+
+    `embed` is the first tensor of every layout, so `tail` covers the flat
+    slice `[embed_end:]`; `rows[k]` is the gradient of embedding row `ids[k]`.
+    """
+
+    tail: np.ndarray
+    ids: np.ndarray
+    rows: np.ndarray
+
+    def add_to(self, dense, layout):
+        """Accumulate into a dense gradient; rows the sample never read get no addition."""
+        dense[layout.slices["embed"][1] :] += self.tail
+        layout.view(dense, "embed")[self.ids] += self.rows
 
 
 def _build_layout(spec, vocab_size):
@@ -214,46 +233,50 @@ class ScalarModel:
     def backward(self, token_ids, upstream_grad):
         """d(logit)/d(params) scaled by upstream_grad, as a flat vector."""
         _, cache = self._forward_cache(token_ids)
-        return self._backward_from_cache(cache, upstream_grad)
+        grads = np.zeros_like(self.params)
+        self._backward_from_cache(cache, upstream_grad).add_to(grads, self.layout)
+        return grads
 
     def _backward_from_cache(self, cache, upstream_grad):
+        """d(logit)/d(params) scaled by upstream_grad, as a SparseGrad."""
         g = float(upstream_grad)
         p, layout = self.params, self.layout
-        grads = np.zeros_like(p)
+        embed_end = layout.slices["embed"][1]
+        tail = np.zeros(layout.size - embed_end)
+
+        def dview(name):
+            return layout.view(tail, name, embed_end)
+
         feat, z1, h = cache["feat"], cache["z1"], cache["h"]
-        layout.view(grads, "out_b")[0] = g
-        layout.view(grads, "out_w")[:] = g * h
+        dview("out_b")[0] = g
+        dview("out_w")[:] = g * h
         dz1 = (g * layout.view(p, "out_w")) * (z1 > 0.0)
-        layout.view(grads, "hidden_b")[:] = dz1
-        layout.view(grads, "hidden_w")[:] = np.outer(dz1, feat)
+        dview("hidden_b")[:] = dz1
+        dview("hidden_w")[:] = np.outer(dz1, feat)
         dfeat = layout.view(p, "hidden_w").T @ dz1
         ids, X = cache["ids"], cache["X"]
-        demb = layout.view(grads, "embed")
+        uniq, slot = np.unique(ids, return_inverse=True)
+        rows = np.zeros((uniq.size, X.shape[1]))
         if self.spec.kind == BAG_OF_EMBEDDINGS:
-            np.add.at(demb, ids, dfeat / ids.size)
+            np.add.at(rows, slot, dfeat / ids.size)
         else:
             dX = np.zeros_like(X)
             F = self.spec.n_filters
-            off = 0
-            for w in self.spec.window_sizes:
-                dpool = dfeat[off : off + F]
-                off += F
+            for k, w in enumerate(self.spec.window_sizes):
                 Z, arg, M = cache[f"Z{w}"], cache[f"arg{w}"], cache[f"M{w}"]
                 # gradient flows through the max-pooled position of each
                 # filter, gated by the conv relu
-                dZsel = np.where(Z[arg, np.arange(F)] > 0.0, dpool, 0.0)
-                conv_w = layout.view(p, f"conv{w}_w")
-                dW = layout.view(grads, f"conv{w}_w")
-                db = layout.view(grads, f"conv{w}_b")
-                for f in range(F):
-                    if dZsel[f] == 0.0:
-                        continue
-                    i = int(arg[f])
-                    dW[f] += dZsel[f] * M[i]
-                    db[f] += dZsel[f]
-                    dX[i : i + w] += (dZsel[f] * conv_w[f]).reshape(w, -1)
-            np.add.at(demb, ids, dX)
-        return grads
+                dZsel = np.where(Z[arg, np.arange(F)] > 0.0, dfeat[k * F : (k + 1) * F], 0.0)
+                sel = np.flatnonzero(dZsel)
+                d, at = dZsel[sel], arg[sel]
+                dview(f"conv{w}_w")[sel] = d[:, None] * M[at]
+                dview(f"conv{w}_b")[sel] = d
+                # filter-major, so each position sums its filters in the same
+                # order as a loop over filters would
+                contrib = (d[:, None] * layout.view(p, f"conv{w}_w")[sel]).reshape(-1, X.shape[1])
+                np.add.at(dX, (at[:, None] + np.arange(w)).ravel(), contrib)
+            np.add.at(rows, slot, dX)
+        return SparseGrad(tail, uniq, rows)
 
     def to_payload(self):
         return {
@@ -306,10 +329,19 @@ def adam_step(params, grads, state, lr, t):
         raise ModelError("gradient/parameter shape mismatch")
     if not np.all(np.isfinite(grads)):
         raise ModelError("non-finite gradient; training diverged")
+    # in place, in the order of the textbook update:
+    # m, v, then lr * m_hat / (sqrt(v_hat) + eps), then params minus that
+    scratch = np.multiply(grads, 1.0 - ADAM_BETA1)
     state.m *= ADAM_BETA1
-    state.m += (1.0 - ADAM_BETA1) * grads
+    state.m += scratch
+    np.square(grads, out=scratch)
+    scratch *= 1.0 - ADAM_BETA2
     state.v *= ADAM_BETA2
-    state.v += (1.0 - ADAM_BETA2) * np.square(grads)
-    m_hat = state.m / (1.0 - ADAM_BETA1**t)
-    v_hat = state.v / (1.0 - ADAM_BETA2**t)
-    return params - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    state.v += scratch
+    denom = np.divide(state.v, 1.0 - ADAM_BETA2**t)
+    np.sqrt(denom, out=denom)
+    denom += ADAM_EPS
+    np.divide(state.m, 1.0 - ADAM_BETA1**t, out=scratch)
+    scratch *= lr
+    scratch /= denom
+    return params - scratch

@@ -167,6 +167,88 @@ def test_backward_untouched_embedding_rows_have_zero_gradient():
             assert np.all(demb[row] == 0.0)
 
 
+def dense_backward_reference(model, cache, upstream_grad):
+    """The dense per-filter backward pass: a parameter-sized zero vector filled one filter at a time."""
+    g = float(upstream_grad)
+    p, layout = model.params, model.layout
+    grads = np.zeros_like(p)
+    feat, z1, h = cache["feat"], cache["z1"], cache["h"]
+    layout.view(grads, "out_b")[0] = g
+    layout.view(grads, "out_w")[:] = g * h
+    dz1 = (g * layout.view(p, "out_w")) * (z1 > 0.0)
+    layout.view(grads, "hidden_b")[:] = dz1
+    layout.view(grads, "hidden_w")[:] = np.outer(dz1, feat)
+    dfeat = layout.view(p, "hidden_w").T @ dz1
+    ids, X = cache["ids"], cache["X"]
+    demb = layout.view(grads, "embed")
+    if model.spec.kind == BAG_OF_EMBEDDINGS:
+        np.add.at(demb, ids, dfeat / ids.size)
+        return grads
+    dX = np.zeros_like(X)
+    F = model.spec.n_filters
+    off = 0
+    for w in model.spec.window_sizes:
+        dpool = dfeat[off : off + F]
+        off += F
+        Z, arg, M = cache[f"Z{w}"], cache[f"arg{w}"], cache[f"M{w}"]
+        dZsel = np.where(Z[arg, np.arange(F)] > 0.0, dpool, 0.0)
+        conv_w = layout.view(p, f"conv{w}_w")
+        dW = layout.view(grads, f"conv{w}_w")
+        db = layout.view(grads, f"conv{w}_b")
+        for f in range(F):
+            if dZsel[f] == 0.0:
+                continue
+            i = int(arg[f])
+            dW[f] += dZsel[f] * M[i]
+            db[f] += dZsel[f]
+            dX[i : i + w] += (dZsel[f] * conv_w[f]).reshape(w, -1)
+    np.add.at(demb, ids, dX)
+    return grads
+
+
+def sparse_grad_bytes(model, ids):
+    _, cache = model._forward_cache(ids)
+    return sum(part.nbytes for part in model._backward_from_cache(cache, 0.7))
+
+
+def test_sparse_backward_equals_dense_reference_exactly():
+    vocab = tiny_vocab(6)
+    rng = np.random.default_rng(17)
+    docs = {
+        "repeated ids": [4, 5, 4, 4, 6, 4, 4, 5, 4, 4, 4, 4],
+        "overlapping windows": [4, 5, 6, 7, 8, 9, 4, 5, 6],
+        "shorter than widest window": [7, 4],
+        "oov ids": [vocab.size + 3, 4, -1, vocab.size, 5],
+    }
+    specs = (
+        EncoderSpec(BAG_OF_EMBEDDINGS, embed_dim=4, hidden_dim=5),
+        EncoderSpec(CONV_NGRAM, embed_dim=4, hidden_dim=5, window_sizes=(1, 3, 2, 5), n_filters=4),
+    )
+    conv_rows_checked = 0
+    for seed in range(6):
+        for spec in specs:
+            model = ScalarModel(spec, vocab, seed=seed)
+            for ids in docs.values():
+                _, cache = model._forward_cache(ids)
+                for upstream in (float(rng.normal()), 0.0):
+                    reference = dense_backward_reference(model, cache, upstream)
+                    grads = np.zeros_like(model.params)
+                    model._backward_from_cache(cache, upstream).add_to(grads, model.layout)
+                    assert np.array_equal(grads, reference)
+                    if spec.kind == CONV_NGRAM and upstream != 0.0:
+                        conv_rows_checked += int(np.count_nonzero(model.layout.view(reference, "conv3_w").any(axis=1)))
+    # the comparison must exercise the per-filter scatter, not only zero filters
+    assert conv_rows_checked > 0
+
+
+def test_sparse_gradient_size_does_not_grow_with_vocabulary():
+    doc = [f"w{i % 7}" for i in range(12)]
+    for spec in (tiny_spec(BAG_OF_EMBEDDINGS), tiny_spec(CONV_NGRAM)):
+        small, large = tiny_vocab(256 - 4), tiny_vocab(40_000 - 4)
+        sizes = [sparse_grad_bytes(ScalarModel(spec, v, seed=3), v.encode_tokens(doc)) for v in (small, large)]
+        assert sizes[0] == sizes[1]
+
+
 def test_backward_matches_finite_differences_both_kinds():
     vocab = tiny_vocab(6)
     rng = np.random.default_rng(3)
