@@ -23,6 +23,10 @@ DEFAULT_BETA = 0.2
 # never share an initialization stream
 ENTITY_SEED_OFFSET = 1_000_003
 
+# documents per encoder pass when scoring; batch-mates shift a logit only in
+# its last bits, so every scoring caller uses the same chunks
+SCORE_CHUNK = 64
+
 
 @dataclass
 class EndefModel:
@@ -76,28 +80,32 @@ def loss_total(model, batch, max_len=MAX_SEQ_LEN, stop_grad_entity_from_overall=
     stop_grad_entity_from_overall the fused term's gradient into the entity
     branch is suppressed. A single encoder is this objective with alpha = 1,
     beta = 0 and no entity branch. input_mode picks the detector's input
-    view; the entity branch always reads the entity mentions. Each sample's
-    sparse gradient is added into one dense accumulator per branch, and only
-    at the embedding rows that sample read.
+    view; the entity branch always reads the entity mentions. Each branch
+    runs one forward and one backward pass over the whole batch; the loss
+    itself is summed one sample at a time.
     """
     if len(batch) == 0:
         raise ModelError("loss_total needs a non-empty batch")
     encoders = branches(model)
-    detector, entity = encoders["detector"], encoders.get("entity")
-    alpha, beta = (1.0, 0.0) if entity is None else (model.alpha, model.beta)
+    views = {"detector": input_mode, "entity": "entities"}
+    passes = {
+        name: enc._forward_cache([encode_input(enc.vocab, p, max_len, views[name]) for p in batch])
+        for name, enc in encoders.items()
+    }
+    alpha, beta = (model.alpha, model.beta) if "entity" in encoders else (1.0, 0.0)
+    r_det = passes["detector"][0].tolist()
+    r_ent = passes["entity"][0].tolist() if "entity" in encoders else None
     inv = 1.0 / len(batch)
-    grads = {name: np.zeros_like(enc.params) for name, enc in encoders.items()}
+    upstream = {name: [] for name in encoders}
     total_overall = 0.0
     total_entity = 0.0
-    for piece in batch:
-        r_det, cache_det = detector._forward_cache(encode_input(detector.vocab, piece, max_len, input_mode))
-        if entity is None:
-            fused = sigmoid(r_det)
+    for i, piece in enumerate(batch):
+        if r_ent is None:
+            fused = sigmoid(r_det[i])
             l_entity = 0.0
         else:
-            r_ent, cache_ent = entity._forward_cache(encode_input(entity.vocab, piece, max_len, "entities"))
-            fused = sigmoid(alpha * r_det + (1.0 - alpha) * r_ent)
-            p_ent = sigmoid(r_ent)
+            fused = sigmoid(alpha * r_det[i] + (1.0 - alpha) * r_ent[i])
+            p_ent = sigmoid(r_ent[i])
             l_entity = binary_cross_entropy(p_ent, piece.label)
         l_overall = binary_cross_entropy(fused, piece.label)
         if not math.isfinite(l_overall + beta * l_entity):
@@ -105,19 +113,31 @@ def loss_total(model, batch, max_len=MAX_SEQ_LEN, stop_grad_entity_from_overall=
         total_overall += l_overall
         total_entity += l_entity
         residual = fused - piece.label
-        detector._backward_from_cache(cache_det, alpha * residual * inv).add_to(grads["detector"], detector.layout)
-        if entity is not None:
+        upstream["detector"].append(alpha * residual * inv)
+        if r_ent is not None:
             up_ent = beta * (p_ent - piece.label) * inv
             if not stop_grad_entity_from_overall:
                 up_ent += (1.0 - alpha) * residual * inv
-            entity._backward_from_cache(cache_ent, up_ent).add_to(grads["entity"], entity.layout)
+            upstream["entity"].append(up_ent)
+    grads = {name: np.zeros_like(enc.params) for name, enc in encoders.items()}
+    for name, enc in encoders.items():
+        enc._backward_from_cache(passes[name][1], upstream[name]).add_to(grads[name], enc.layout)
     loss = total_overall * inv + beta * (total_entity * inv)
     return loss, grads
 
 
 def logits(encoder, pieces, max_len=MAX_SEQ_LEN, input_mode="tokens"):
-    """The raw logit of one encoder for every piece, read from the chosen input view."""
-    return [encoder.forward(encode_input(encoder.vocab, p, max_len, input_mode)) for p in pieces]
+    """The raw logit of one encoder for every piece, read from the chosen input view.
+
+    Pieces are scored in corpus order in fixed chunks of SCORE_CHUNK, so a
+    piece's logit does not depend on which caller scores the corpus.
+    """
+    pieces = list(pieces)
+    out = []
+    for start in range(0, len(pieces), SCORE_CHUNK):
+        chunk = pieces[start : start + SCORE_CHUNK]
+        out += encoder._forward_cache([encode_input(encoder.vocab, p, max_len, input_mode) for p in chunk])[0].tolist()
+    return out
 
 
 def score(model, pieces, max_len=MAX_SEQ_LEN, input_mode="tokens", scale_by_alpha=False):

@@ -22,6 +22,8 @@ MAX_SEQ_LEN = 170  # default truncation applied by callers before forward
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# elements per Adam block: small enough that a block's operands stay in cache
+ADAM_BLOCK = 32_768
 
 PROB_FLOOR = 1e-12
 
@@ -116,7 +118,7 @@ class ParamLayout:
 
 
 class SparseGrad(NamedTuple):
-    """One sample's parameter gradient: dense after the embedding table, summed rows for the ids it read.
+    """A batch's parameter gradient: dense after the embedding table, summed rows for the ids it read.
 
     `embed` is the first tensor of every layout, so `tail` covers the flat
     slice `[embed_end:]`; `rows[k]` is the gradient of embedding row `ids[k]`.
@@ -127,7 +129,7 @@ class SparseGrad(NamedTuple):
     rows: np.ndarray
 
     def add_to(self, dense, layout):
-        """Accumulate into a dense gradient; rows the sample never read get no addition."""
+        """Accumulate into a dense gradient; rows the batch never read get no addition."""
         dense[layout.slices["embed"][1] :] += self.tail
         layout.view(dense, "embed")[self.ids] += self.rows
 
@@ -182,9 +184,6 @@ class ScalarModel:
     def num_params(self):
         return self.layout.size
 
-    def copy(self):
-        return ScalarModel(self.spec, self.vocab, self.params.copy())
-
     def _clean_ids(self, token_ids):
         ids = np.asarray(token_ids, dtype=np.intp).ravel()
         if ids.size == 0:
@@ -200,46 +199,61 @@ class ScalarModel:
 
     def forward(self, token_ids):
         """Scalar logit for one encoded sequence (pure function of params and input)."""
-        return self._forward_cache(token_ids)[0]
+        return float(self._forward_cache([token_ids])[0][0])
 
-    def _forward_cache(self, token_ids):
-        ids = self._clean_ids(token_ids)
+    def _conv_preactivations(self, X, w):
+        """(B, L-w+1, F) window pre-activations: the bias plus one (F, d) weight slice per window offset."""
+        d = self.spec.embed_dim
+        W = self.layout.view(self.params, f"conv{w}_w")
+        n_pos = X.shape[1] - w + 1
+        Z = X[:, :n_pos] @ W[:, :d].T
+        for k in range(1, w):
+            Z += X[:, k : k + n_pos] @ W[:, k * d : (k + 1) * d].T
+        Z += self.layout.view(self.params, f"conv{w}_b")
+        return Z
+
+    def _forward_cache(self, batch_ids):
+        """Logits of a batch of encoded sequences, padded to (B, L) behind a length mask."""
+        seqs = [self._clean_ids(ids) for ids in batch_ids]
+        if not seqs:
+            raise ModelError("cannot run the encoder on an empty batch")
+        lengths = np.array([s.size for s in seqs])
+        ids = np.concatenate(seqs)
+        mask = np.arange(lengths.max()) < lengths[:, None]
+        padded = np.full(mask.shape, self.vocab.pad_id, dtype=np.intp)
+        padded[mask] = ids
         p, layout = self.params, self.layout
-        X = layout.view(p, "embed")[ids]
-        cache = {"ids": ids, "X": X}
+        X = layout.view(p, "embed")[padded]
+        cache = {"ids": ids, "lengths": lengths, "mask": mask, "X": X}
         if self.spec.kind == BAG_OF_EMBEDDINGS:
-            feat = X.mean(axis=0)
+            feat = (mask[:, None, :].astype(np.float64) @ X)[:, 0] / lengths[:, None]
         else:
             feats = []
             for w in self.spec.window_sizes:
-                n_pos = X.shape[0] - w + 1
-                M = np.lib.stride_tricks.sliding_window_view(X, (w, X.shape[1])).reshape(n_pos, -1)
-                Z = M @ layout.view(p, f"conv{w}_w").T + layout.view(p, f"conv{w}_b")
+                Z = self._conv_preactivations(X, w)
                 A = np.maximum(Z, 0.0)
-                arg = A.argmax(axis=0)
-                feats.append(A[arg, np.arange(A.shape[1])])
-                cache[f"M{w}"] = M
-                cache[f"Z{w}"] = Z
+                # windows that reach into batch padding never win the max
+                A[np.arange(Z.shape[1]) > (lengths - w)[:, None]] = -np.inf
+                arg = A.argmax(axis=1)
+                feats.append(np.take_along_axis(A, arg[:, None], axis=1)[:, 0])
                 cache[f"arg{w}"] = arg
-            feat = np.concatenate(feats)
-        z1 = layout.view(p, "hidden_w") @ feat + layout.view(p, "hidden_b")
+            feat = np.concatenate(feats, axis=1)
+        z1 = feat @ layout.view(p, "hidden_w").T + layout.view(p, "hidden_b")
         h = np.maximum(z1, 0.0)
-        logit = float(layout.view(p, "out_w") @ h + layout.view(p, "out_b")[0])
-        cache["feat"] = feat
-        cache["z1"] = z1
-        cache["h"] = h
-        return logit, cache
+        logits = h @ layout.view(p, "out_w") + layout.view(p, "out_b")[0]
+        cache.update(feat=feat, z1=z1, h=h)
+        return logits, cache
 
     def backward(self, token_ids, upstream_grad):
         """d(logit)/d(params) scaled by upstream_grad, as a flat vector."""
-        _, cache = self._forward_cache(token_ids)
+        _, cache = self._forward_cache([token_ids])
         grads = np.zeros_like(self.params)
-        self._backward_from_cache(cache, upstream_grad).add_to(grads, self.layout)
+        self._backward_from_cache(cache, [upstream_grad]).add_to(grads, self.layout)
         return grads
 
     def _backward_from_cache(self, cache, upstream_grad):
-        """d(logit)/d(params) scaled by upstream_grad, as a SparseGrad."""
-        g = float(upstream_grad)
+        """Sum over the batch of d(logit_b)/d(params) scaled by upstream_grad[b], as one SparseGrad."""
+        g = np.asarray(upstream_grad, dtype=np.float64)
         p, layout = self.params, self.layout
         embed_end = layout.slices["embed"][1]
         tail = np.zeros(layout.size - embed_end)
@@ -248,35 +262,40 @@ class ScalarModel:
             return layout.view(tail, name, embed_end)
 
         feat, z1, h = cache["feat"], cache["z1"], cache["h"]
-        dview("out_b")[0] = g
-        dview("out_w")[:] = g * h
-        dz1 = (g * layout.view(p, "out_w")) * (z1 > 0.0)
-        dview("hidden_b")[:] = dz1
-        dview("hidden_w")[:] = np.outer(dz1, feat)
-        dfeat = layout.view(p, "hidden_w").T @ dz1
-        ids, X = cache["ids"], cache["X"]
-        uniq, slot = np.unique(ids, return_inverse=True)
-        rows = np.zeros((uniq.size, X.shape[1]))
+        dview("out_b")[0] = g.sum()
+        dview("out_w")[:] = g @ h
+        dz1 = (g[:, None] * layout.view(p, "out_w")) * (z1 > 0.0)
+        dview("hidden_b")[:] = dz1.sum(axis=0)
+        dview("hidden_w")[:] = dz1.T @ feat
+        dfeat = dz1 @ layout.view(p, "hidden_w")
+        d, lengths = self.spec.embed_dim, cache["lengths"]
+        # batch padding is never read, so only real positions get a row
+        uniq, inv = np.unique(cache["ids"], return_inverse=True)
         if self.spec.kind == BAG_OF_EMBEDDINGS:
-            np.add.at(rows, slot, dfeat / ids.size)
+            at = inv
+            contrib = np.repeat(dfeat / lengths[:, None], lengths, axis=0)
         else:
-            dX = np.zeros_like(X)
-            F = self.spec.n_filters
+            mask, X, F = cache["mask"], cache["X"], self.spec.n_filters
+            slot = np.zeros(mask.shape, dtype=np.intp)
+            slot[mask] = inv
+            # gradient flows through each (sample, filter)'s max-pooled window,
+            # gated by the conv relu
+            dpool = np.where(feat > 0.0, dfeat, 0.0)
+            at, contrib = [], []
             for k, w in enumerate(self.spec.window_sizes):
-                Z, arg, M = cache[f"Z{w}"], cache[f"arg{w}"], cache[f"M{w}"]
-                # gradient flows through the max-pooled position of each
-                # filter, gated by the conv relu
-                dZsel = np.where(Z[arg, np.arange(F)] > 0.0, dfeat[k * F : (k + 1) * F], 0.0)
-                sel = np.flatnonzero(dZsel)
-                d, at = dZsel[sel], arg[sel]
-                dview(f"conv{w}_w")[sel] = d[:, None] * M[at]
-                dview(f"conv{w}_b")[sel] = d
-                # filter-major, so each position sums its filters in the same
-                # order as a loop over filters would
-                contrib = (d[:, None] * layout.view(p, f"conv{w}_w")[sel]).reshape(-1, X.shape[1])
-                np.add.at(dX, (at[:, None] + np.arange(w)).ravel(), contrib)
-            np.add.at(rows, slot, dX)
-        return SparseGrad(tail, uniq, rows)
+                dZ = dpool[:, k * F : (k + 1) * F]
+                bs, fs = np.nonzero(dZ)
+                dsel = dZ[bs, fs]
+                win = cache[f"arg{w}"][bs, fs][:, None] + np.arange(w)
+                windows = X[bs[:, None], win].reshape(bs.size, w * d)
+                dview(f"conv{w}_w")[:] = np.where(fs == np.arange(F)[:, None], dsel, 0.0) @ windows
+                dview(f"conv{w}_b")[:] = dZ.sum(axis=0)
+                at.append(slot[bs[:, None], win].ravel())
+                contrib.append((dsel[:, None] * layout.view(p, f"conv{w}_w")[fs]).reshape(-1, d))
+            at, contrib = np.concatenate(at), np.concatenate(contrib)
+        rows = np.zeros(uniq.size * d)
+        np.add.at(rows, (at[:, None] * d + np.arange(d)).ravel(), contrib.ravel())
+        return SparseGrad(tail, uniq, rows.reshape(uniq.size, d))
 
     def to_payload(self):
         return {
@@ -329,19 +348,27 @@ def adam_step(params, grads, state, lr, t):
         raise ModelError("gradient/parameter shape mismatch")
     if not np.all(np.isfinite(grads)):
         raise ModelError("non-finite gradient; training diverged")
-    # in place, in the order of the textbook update:
+    out = np.empty_like(params)
+    scratch = np.empty(min(ADAM_BLOCK, params.size))
+    denom = np.empty_like(scratch)
+    # block by block, in place, in the order of the textbook update:
     # m, v, then lr * m_hat / (sqrt(v_hat) + eps), then params minus that
-    scratch = np.multiply(grads, 1.0 - ADAM_BETA1)
-    state.m *= ADAM_BETA1
-    state.m += scratch
-    np.square(grads, out=scratch)
-    scratch *= 1.0 - ADAM_BETA2
-    state.v *= ADAM_BETA2
-    state.v += scratch
-    denom = np.divide(state.v, 1.0 - ADAM_BETA2**t)
-    np.sqrt(denom, out=denom)
-    denom += ADAM_EPS
-    np.divide(state.m, 1.0 - ADAM_BETA1**t, out=scratch)
-    scratch *= lr
-    scratch /= denom
-    return params - scratch
+    for start in range(0, params.size, ADAM_BLOCK):
+        block = slice(start, start + ADAM_BLOCK)
+        g, m, v = grads[block], state.m[block], state.v[block]
+        s, den = scratch[: g.size], denom[: g.size]
+        np.multiply(g, 1.0 - ADAM_BETA1, out=s)
+        m *= ADAM_BETA1
+        m += s
+        np.square(g, out=s)
+        s *= 1.0 - ADAM_BETA2
+        v *= ADAM_BETA2
+        v += s
+        np.divide(v, 1.0 - ADAM_BETA2**t, out=den)
+        np.sqrt(den, out=den)
+        den += ADAM_EPS
+        np.divide(m, 1.0 - ADAM_BETA1**t, out=s)
+        s *= lr
+        s /= den
+        np.subtract(params[block], s, out=out[block])
+    return out

@@ -3,6 +3,7 @@
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 
@@ -76,11 +77,9 @@ class Vocabulary:
 
     def encode_tokens(self, tokens, max_len=None):
         """Token ids with unknowns mapped to [UNK], truncated to max_len."""
-        idx = self._index
-        ids = [idx.get(t, 2) for t in tokens]
         if max_len is not None:
-            ids = ids[:max_len]
-        return np.asarray(ids, dtype=np.intp)
+            tokens = tokens[:max_len]
+        return np.fromiter(map(self._index.get, tokens, repeat(2)), dtype=np.intp, count=len(tokens))
 
     def encode_entities(self, entities, max_len=None):
         """Entity strings tokenized and joined with [SEP]; a lone [PAD] when empty."""

@@ -55,11 +55,12 @@ def relu_safety_margin(model, ids):
     value stays pinned at zero under small perturbations), so its margin is
     the distance of the least-negative position from zero.
     """
-    _, cache = model._forward_cache(ids)
+    _, cache = model._forward_cache([ids])
     margins = [float(np.min(np.abs(cache["z1"])))]
     if model.spec.kind == CONV_NGRAM:
         for w in model.spec.window_sizes:
-            Z = cache[f"Z{w}"]
+            # a batch of one has no batch padding: every window position is real
+            Z = model._conv_preactivations(cache["X"], w)[0]
             A = np.maximum(Z, 0.0)
             for f in range(Z.shape[1]):
                 col = np.sort(A[:, f])

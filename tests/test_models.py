@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from endef.models import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_BLOCK,
     ADAM_EPS,
     BAG_OF_EMBEDDINGS,
     CONV_NGRAM,
@@ -167,8 +170,38 @@ def test_backward_untouched_embedding_rows_have_zero_gradient():
             assert np.all(demb[row] == 0.0)
 
 
+def per_sample_forward_reference(model, token_ids):
+    """The per-document forward pass the batched one replaced: (logit, cache) for one sequence."""
+    ids = model._clean_ids(token_ids)
+    p, layout = model.params, model.layout
+    X = layout.view(p, "embed")[ids]
+    cache = {"ids": ids, "X": X}
+    if model.spec.kind == BAG_OF_EMBEDDINGS:
+        feat = X.mean(axis=0)
+    else:
+        feats = []
+        for w in model.spec.window_sizes:
+            n_pos = X.shape[0] - w + 1
+            M = np.lib.stride_tricks.sliding_window_view(X, (w, X.shape[1])).reshape(n_pos, -1)
+            Z = M @ layout.view(p, f"conv{w}_w").T + layout.view(p, f"conv{w}_b")
+            A = np.maximum(Z, 0.0)
+            arg = A.argmax(axis=0)
+            feats.append(A[arg, np.arange(A.shape[1])])
+            cache[f"M{w}"] = M
+            cache[f"Z{w}"] = Z
+            cache[f"arg{w}"] = arg
+        feat = np.concatenate(feats)
+    z1 = layout.view(p, "hidden_w") @ feat + layout.view(p, "hidden_b")
+    h = np.maximum(z1, 0.0)
+    logit = float(layout.view(p, "out_w") @ h + layout.view(p, "out_b")[0])
+    cache["feat"] = feat
+    cache["z1"] = z1
+    cache["h"] = h
+    return logit, cache
+
+
 def dense_backward_reference(model, cache, upstream_grad):
-    """The dense per-filter backward pass: a parameter-sized zero vector filled one filter at a time."""
+    """The dense per-filter backward pass of one sequence: a parameter-sized zero vector filled one filter at a time."""
     g = float(upstream_grad)
     p, layout = model.params, model.layout
     grads = np.zeros_like(p)
@@ -206,46 +239,121 @@ def dense_backward_reference(model, cache, upstream_grad):
     return grads
 
 
-def sparse_grad_bytes(model, ids):
-    _, cache = model._forward_cache(ids)
-    return sum(part.nbytes for part in model._backward_from_cache(cache, 0.7))
+def per_sample_reference(model, batch, upstream):
+    """Per-document logits, and the per-document dense gradients summed over the batch."""
+    logits, grads = [], np.zeros_like(model.params)
+    for ids, g in zip(batch, upstream):
+        logit, cache = per_sample_forward_reference(model, ids)
+        logits.append(logit)
+        grads += dense_backward_reference(model, cache, g)
+    return np.array(logits), grads
+
+
+def batched(model, batch, upstream):
+    logits, cache = model._forward_cache(batch)
+    grads = np.zeros_like(model.params)
+    model._backward_from_cache(cache, upstream).add_to(grads, model.layout)
+    return logits, grads
+
+
+# batching reorders sums, so it matches the per-document path to rounding only
+BATCH_RTOL, BATCH_ATOL = 1e-12, 1e-15
+
+REFERENCE_VOCAB = tiny_vocab(6)
+
+REFERENCE_DOCS = {
+    "repeated ids": [4, 5, 4, 4, 6, 4, 4, 5, 4, 4, 4, 4],
+    "overlapping windows": [4, 5, 6, 7, 8, 9, 4, 5, 6],
+    "shorter than widest window": [7, 4],
+    "oov ids": [REFERENCE_VOCAB.size + 3, 4, -1, REFERENCE_VOCAB.size, 5],
+    "lone [PAD] entity input": [REFERENCE_VOCAB.pad_id],
+}
+
+REFERENCE_SPECS = (
+    EncoderSpec(BAG_OF_EMBEDDINGS, embed_dim=4, hidden_dim=5),
+    EncoderSpec(CONV_NGRAM, embed_dim=4, hidden_dim=5, window_sizes=(1, 3, 2, 5), n_filters=4),
+)
+
+
+def sparse_grad_bytes(model, batch):
+    _, cache = model._forward_cache(batch)
+    return sum(part.nbytes for part in model._backward_from_cache(cache, np.full(len(batch), 0.7)))
+
+
+def test_batched_forward_matches_per_sample_reference():
+    vocab = REFERENCE_VOCAB
+    batch = list(REFERENCE_DOCS.values())
+    for seed in range(6):
+        for spec in REFERENCE_SPECS:
+            model = ScalarModel(spec, vocab, seed=seed)
+            logits, _ = model._forward_cache(batch)
+            reference, _ = per_sample_reference(model, batch, np.zeros(len(batch)))
+            np.testing.assert_allclose(logits, reference, rtol=BATCH_RTOL, atol=BATCH_ATOL)
+            for ids, expect in zip(batch, reference):
+                assert model.forward(ids) == pytest.approx(expect, rel=BATCH_RTOL, abs=BATCH_ATOL)
 
 
 def test_sparse_backward_equals_dense_reference_exactly():
-    vocab = tiny_vocab(6)
+    # the batched backward sums the per-document dense reference over the
+    # batch; summation order differs, so the match is to rounding, not bits
+    vocab = REFERENCE_VOCAB
     rng = np.random.default_rng(17)
-    docs = {
-        "repeated ids": [4, 5, 4, 4, 6, 4, 4, 5, 4, 4, 4, 4],
-        "overlapping windows": [4, 5, 6, 7, 8, 9, 4, 5, 6],
-        "shorter than widest window": [7, 4],
-        "oov ids": [vocab.size + 3, 4, -1, vocab.size, 5],
-    }
-    specs = (
-        EncoderSpec(BAG_OF_EMBEDDINGS, embed_dim=4, hidden_dim=5),
-        EncoderSpec(CONV_NGRAM, embed_dim=4, hidden_dim=5, window_sizes=(1, 3, 2, 5), n_filters=4),
-    )
+    docs = list(REFERENCE_DOCS.values())
     conv_rows_checked = 0
     for seed in range(6):
-        for spec in specs:
+        for spec in REFERENCE_SPECS:
             model = ScalarModel(spec, vocab, seed=seed)
-            for ids in docs.values():
-                _, cache = model._forward_cache(ids)
-                for upstream in (float(rng.normal()), 0.0):
-                    reference = dense_backward_reference(model, cache, upstream)
-                    grads = np.zeros_like(model.params)
-                    model._backward_from_cache(cache, upstream).add_to(grads, model.layout)
-                    assert np.array_equal(grads, reference)
-                    if spec.kind == CONV_NGRAM and upstream != 0.0:
+            for batch in (docs, docs[::-1], docs[1:3]):
+                upstream = rng.normal(size=len(batch))
+                upstream[0] = 0.0
+                for g in (upstream, np.zeros(len(batch))):
+                    _, reference = per_sample_reference(model, batch, g)
+                    _, grads = batched(model, batch, g)
+                    np.testing.assert_allclose(grads, reference, rtol=BATCH_RTOL, atol=BATCH_ATOL)
+                    if not g.any():
+                        assert not grads.any()
+                    elif spec.kind == CONV_NGRAM:
                         conv_rows_checked += int(np.count_nonzero(model.layout.view(reference, "conv3_w").any(axis=1)))
     # the comparison must exercise the per-filter scatter, not only zero filters
     assert conv_rows_checked > 0
+
+
+def test_batch_padding_does_not_leak():
+    vocab = REFERENCE_VOCAB
+    rng = np.random.default_rng(29)
+    full = [[4, 5, 6, 7, 8, 9], [5, 5, 6, 4, 8], [9, 8, 7, 6, 5, 4, 4]]
+    longer = [4, 5, 6, 7, 8, 9] * 5
+    pad_rows_checked = 0
+    for seed in range(4):
+        for spec in REFERENCE_SPECS:
+            model = ScalarModel(spec, vocab, seed=seed)
+            alone, _ = model._forward_cache(full)
+            with_longer, cache = model._forward_cache(full + [longer])
+            assert np.max(np.abs(with_longer[: len(full)] - alone)) <= 1e-12
+            # no document reads [PAD], so batch padding must not give its row a gradient
+            sparse = model._backward_from_cache(cache, rng.normal(size=len(full) + 1))
+            assert vocab.pad_id not in sparse.ids
+            if spec.kind == CONV_NGRAM:
+                # a short document's [PAD] positions are real inputs and do get one
+                batch = full + [[7, 4], longer]
+                g = rng.normal(size=len(batch))
+                _, reference = per_sample_reference(model, batch, g)
+                _, grads = batched(model, batch, g)
+                pad_row = model.layout.view(grads, "embed")[vocab.pad_id]
+                expect = model.layout.view(reference, "embed")[vocab.pad_id]
+                np.testing.assert_allclose(pad_row, expect, rtol=BATCH_RTOL, atol=BATCH_ATOL)
+                pad_rows_checked += int(np.any(expect != 0.0))
+    assert pad_rows_checked > 0
 
 
 def test_sparse_gradient_size_does_not_grow_with_vocabulary():
     doc = [f"w{i % 7}" for i in range(12)]
     for spec in (tiny_spec(BAG_OF_EMBEDDINGS), tiny_spec(CONV_NGRAM)):
         small, large = tiny_vocab(256 - 4), tiny_vocab(40_000 - 4)
-        sizes = [sparse_grad_bytes(ScalarModel(spec, v, seed=3), v.encode_tokens(doc)) for v in (small, large)]
+        sizes = [
+            sparse_grad_bytes(ScalarModel(spec, v, seed=3), [v.encode_tokens(d) for d in (doc, doc[:5], doc[3:])])
+            for v in (small, large)
+        ]
         assert sizes[0] == sizes[1]
 
 
@@ -308,6 +416,25 @@ def test_adam_trajectories_bit_identical():
         return params
 
     assert np.array_equal(run(), run())
+
+
+def test_adam_blocked_update_equals_textbook_update():
+    n = 2 * ADAM_BLOCK + 123
+    rng = np.random.default_rng(11)
+    params = rng.normal(size=n)
+    expect, m, v = params.copy(), np.zeros(n), np.zeros(n)
+    state = AdamState.zeros(n)
+    lr = 3e-3
+    for t in range(1, 6):
+        grads = rng.normal(size=n)
+        params = adam_step(params, grads, state, lr, t)
+        m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grads
+        v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grads**2
+        m_hat = m / (1.0 - ADAM_BETA1**t)
+        v_hat = v / (1.0 - ADAM_BETA2**t)
+        expect = expect - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        assert np.array_equal(params, expect)
+        assert np.array_equal(state.m, m) and np.array_equal(state.v, v)
 
 
 def test_checkpoint_payload_round_trip():
