@@ -11,7 +11,7 @@ verification.
 
 __version__ = "0.1.0"
 
-from .augmentation import AugmentPolicy, augment, choose_policy
+from .augmentation import augment
 from .corpus import (
     Corpus,
     CorpusError,

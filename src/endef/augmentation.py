@@ -1,39 +1,12 @@
 """Token-level training augmentation: random drop/mask of words or entity spans."""
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
-from .corpus import contains_subsequence
 from .recognizer import longest_matches
 
 MASK_TOKEN = "[MASK]"
 AUGMENT_KINDS = ("word_level", "entity_level")
 AUGMENT_ACTIONS = ("drop", "mask")
-
-
-@dataclass(frozen=True)
-class AugmentPolicy:
-    """One sampled augmentation choice: what to select and what to do with it."""
-
-    kind: str
-    action: str
-    probability: float
-
-    def __post_init__(self):
-        if self.kind not in AUGMENT_KINDS:
-            raise ValueError(f"unknown augmentation kind {self.kind!r}")
-        if self.action not in AUGMENT_ACTIONS:
-            raise ValueError(f"unknown augmentation action {self.action!r}")
-        if not 0.0 <= self.probability <= 1.0:
-            raise ValueError("selection probability must lie in [0, 1]")
-
-
-def choose_policy(rng, probability=0.1, kinds=AUGMENT_KINDS, actions=AUGMENT_ACTIONS):
-    """Pick one policy uniformly over the allowed kind x action grid."""
-    if not kinds or not actions:
-        raise ValueError("at least one kind and one action must be allowed")
-    kind = kinds[int(rng.integers(len(kinds)))]
-    action = actions[int(rng.integers(len(actions)))]
-    return AugmentPolicy(kind, action, probability)
 
 
 def _entity_forms(entity_strings):
@@ -66,33 +39,42 @@ def recompute_entities(piece, new_tokens):
     never occurred in the original tokens were supplied externally and are
     preserved untouched at the end of the list.
     """
-    in_text = {e for e in piece.entities if contains_subsequence(piece.tokens, e.split())}
-    external = tuple(e for e in piece.entities if e not in in_text)
+    external = piece.external_entities()
+    in_text = {e for e in piece.entities if e not in external}
     matched = tuple(e for _, _, e in _entity_matches(new_tokens, in_text))
     return matched + external
 
 
-def augment(piece, policy, rng):
-    """Apply one drop/mask policy to a training sample.
+def augment(piece, settings, rng):
+    """Augment one training sample under validated `training.AugmentSettings`.
 
-    Word-level selects each token independently with the policy probability;
-    entity-level selects whole recognized spans (one draw per occurrence).
-    When dropping would empty the sequence, one unmodified token chosen
-    uniformly is retained instead. Label and id never change; the entity
-    list is recomputed against the edited tokens.
+    Nothing is drawn when augmentation is disabled. Otherwise the sample is
+    skipped with chance 1 - apply_probability (one draw, made only when that
+    chance is positive), then one kind and one action are picked uniformly
+    from the allowed ones. Word-level selects each token independently with
+    the settings' probability; entity-level selects whole recognized spans
+    (one draw per occurrence). When dropping would empty the sequence, one
+    unmodified token chosen uniformly is retained instead. Label and id
+    never change; the entity list is recomputed against the edited tokens.
     """
-    p = policy.probability
+    if not settings.enabled:
+        return piece
+    if settings.apply_probability < 1.0 and rng.random() >= settings.apply_probability:
+        return piece
+    kind = settings.kinds[int(rng.integers(len(settings.kinds)))]
+    action = settings.actions[int(rng.integers(len(settings.actions)))]
+    p = settings.probability
     tokens = piece.tokens
-    if policy.kind == "word_level":
-        selected = {i for i in range(len(tokens)) if rng.random() < p}
+    if kind == "word_level":
+        draws = rng.random(len(tokens)).tolist()
+        selected = {i for i, u in enumerate(draws) if u < p}
     else:
-        selected = set()
-        for a, b in entity_spans(tokens, set(piece.entities)):
-            if rng.random() < p:
-                selected.update(range(a, b))
+        spans = entity_spans(tokens, piece.entities)
+        draws = rng.random(len(spans)).tolist()
+        selected = {i for (a, b), u in zip(spans, draws) if u < p for i in range(a, b)}
     if not selected:
         return piece
-    if policy.action == "mask":
+    if action == "mask":
         new_tokens = tuple(MASK_TOKEN if i in selected else t for i, t in enumerate(tokens))
     else:
         new_tokens = tuple(t for i, t in enumerate(tokens) if i not in selected)

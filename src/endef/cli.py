@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .corpus import Corpus, SplitResult, entity_bias_table, export_bias_table, load_corpus, save_corpus, temporal_split
+from .corpus import SplitResult, entity_bias_table, export_bias_table, load_corpus, save_corpus, temporal_split
 from .framework import case_report, load_checkpoint, make_endef_model, save_checkpoint
 from .metrics import PredictionSet, aggregate_reports, evaluate, format_aggregate_table
 from .models import BAG_OF_EMBEDDINGS, EncoderSpec, ScalarModel
@@ -170,10 +170,10 @@ def _train_single(mode, split, evaluate_test, cfg, detector_spec, entity_spec, o
 
 def cmd_train(args):
     cfg, detector_spec, entity_spec, scale_by_alpha, resolved = _resolve_train_setup(args)
-    train_part = load_corpus(args.train)
-    val_part = load_corpus(args.val)
-    test_part = load_corpus(args.test) if args.test else Corpus((), name="unused")
-    split = SplitResult(train_part, val_part, test_part)
+    parts = [load_corpus(args.train), load_corpus(args.val)]
+    if args.test:
+        parts.append(load_corpus(args.test))
+    split = SplitResult(*parts)
     evaluate_test = bool(args.test)
     out = _out_dir(args)
     if args.runs <= 1:
@@ -260,9 +260,7 @@ def cmd_case_report(args):
 
 def cmd_grid_alpha(args):
     cfg, detector_spec, entity_spec, _, resolved = _resolve_train_setup(args)
-    train_part = load_corpus(args.train)
-    val_part = load_corpus(args.val)
-    split = SplitResult(train_part, val_part, Corpus((), name="unused"))
+    split = SplitResult(load_corpus(args.train), load_corpus(args.val))
     best_alpha, rows = grid_search_alpha(split, cfg, detector_spec, entity_spec)
     out = _out_dir(args)
     with (out / "alpha_grid.tsv").open("w", encoding="utf-8") as fh:

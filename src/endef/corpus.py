@@ -174,11 +174,11 @@ def save_corpus(corpus, path):
 
 @dataclass(frozen=True)
 class SplitResult:
-    """Temporally disjoint train/validation/test parts."""
+    """Temporally disjoint train/validation/test parts; training alone needs no test part."""
 
     train: Corpus
     validation: Corpus
-    test: Corpus
+    test: Corpus = Corpus(())
 
     def __post_init__(self):
         ids = [set(part.ids()) for part in (self.train, self.validation, self.test)]

@@ -2,7 +2,8 @@
 
 The fake class (label 1) is the positive class throughout. ROC construction
 uses the trapezoidal convention with tie groups collapsed into single
-vertices, which gives ties 0.5 credit exactly as the rank-based AUC does.
+vertices, which gives ties the Mann-Whitney 0.5 credit; AUC and spAUC both
+come from that one sweep.
 """
 
 import json
@@ -50,39 +51,32 @@ class PredictionSet:
             raise MetricsError("metric undefined: only one class present")
 
 
-def roc_auc(pred):
-    """P(random positive outranks random negative); ties score 0.5 credit."""
+def _roc_counts(pred):
+    # cumulative (false, true) positive counts at each distinct score, highest first
     pred.require_both_classes()
-    s, y = pred.scores, pred.labels
-    order = np.argsort(s, kind="mergesort")
-    sorted_s = s[order]
-    ranks = np.empty(s.size, dtype=np.float64)
-    i = 0
-    while i < s.size:
-        j = i
-        while j + 1 < s.size and sorted_s[j + 1] == sorted_s[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0  # average 1-based rank
-        i = j + 1
-    n_pos = int(y.sum())
-    n_neg = y.size - n_pos
-    pos_rank_sum = float(ranks[y == 1].sum())
-    return (pos_rank_sum - 0.5 * n_pos * (n_pos + 1)) / (n_pos * n_neg)
+    order = np.argsort(-pred.scores, kind="mergesort")
+    s_desc = pred.scores[order]
+    y_desc = pred.labels[order]
+    last = np.nonzero(np.r_[s_desc[1:] != s_desc[:-1], True])[0]
+    return np.cumsum(1 - y_desc)[last], np.cumsum(y_desc)[last]
+
+
+def roc_auc(pred):
+    """P(random positive outranks random negative); ties score 0.5 credit.
+
+    The trapezoid area under the ROC vertices, summed in integers as
+    sum(dfp * (tp_prev + tp_cur)) / (2 * P * N): one exact numerator and a
+    single division, so it equals the Mann-Whitney rank formula bit for bit.
+    """
+    fp, tp = _roc_counts(pred)
+    twice_area = int(np.sum(np.diff(fp, prepend=0) * (tp + np.r_[0, tp[:-1]])))
+    return twice_area / (2 * int(tp[-1]) * int(fp[-1]))
 
 
 def roc_points(pred):
     """ROC vertices (fpr, tpr) from (0, 0) to (1, 1), one per distinct score."""
-    pred.require_both_classes()
-    s, y = pred.scores, pred.labels
-    order = np.argsort(-s, kind="mergesort")
-    s_desc = s[order]
-    y_desc = y[order]
-    tp = np.cumsum(y_desc)
-    fp = np.cumsum(1 - y_desc)
-    last = np.nonzero(np.r_[s_desc[1:] != s_desc[:-1], True])[0]
-    fpr = np.concatenate([[0.0], fp[last] / fp[-1]])
-    tpr = np.concatenate([[0.0], tp[last] / tp[-1]])
-    return fpr, tpr
+    fp, tp = _roc_counts(pred)
+    return np.concatenate([[0.0], fp / fp[-1]]), np.concatenate([[0.0], tp / tp[-1]])
 
 
 def sp_auc(pred, maxfpr=DEFAULT_MAXFPR):

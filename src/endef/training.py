@@ -27,7 +27,7 @@ class TrainingError(ValueError):
 
 @dataclass(frozen=True)
 class AugmentSettings:
-    """Per-sample augmentation knobs used inside the training loops.
+    """Per-sample augmentation knobs, validated once and read by `augmentation.augment`.
 
     probability is the per-token (or per-span) selection chance;
     apply_probability is the chance a sample gets augmented at all.
@@ -112,15 +112,6 @@ def truncate_piece(piece, max_len):
     return replace(piece, tokens=new_tokens, entities=recompute_entities(piece, new_tokens))
 
 
-def _maybe_augment(piece, settings, rng):
-    if not settings.enabled:
-        return piece
-    if settings.apply_probability < 1.0 and rng.random() >= settings.apply_probability:
-        return piece
-    policy = aug.choose_policy(rng, settings.probability, settings.kinds, settings.actions)
-    return aug.augment(piece, policy, rng)
-
-
 def labels_of(corpus):
     return np.array([p.label for p in corpus], dtype=np.int64)
 
@@ -166,7 +157,7 @@ def train(model, split, cfg, input_mode="tokens"):
         loss_sum = 0.0
         for start in range(0, n, cfg.batch_size):
             batch_idx = order[start : start + cfg.batch_size]
-            batch = [_maybe_augment(train_pieces[i], cfg.augment, augment_rng) for i in batch_idx]
+            batch = [aug.augment(train_pieces[i], cfg.augment, augment_rng) for i in batch_idx]
             step += 1
             try:
                 loss, grads = loss_total(model, batch, cfg.max_len, cfg.stop_grad_entity_from_overall, input_mode)

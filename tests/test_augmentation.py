@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,36 +7,44 @@ from endef.augmentation import (
     AUGMENT_ACTIONS,
     AUGMENT_KINDS,
     MASK_TOKEN,
-    AugmentPolicy,
     augment,
-    choose_policy,
     entity_spans,
     recompute_entities,
 )
+from endef.corpus import contains_subsequence
+from endef.recognizer import longest_matches
+from endef.training import AugmentSettings, TrainingError
 
 from conftest import make_piece
 
 
+def only(kind, action, probability):
+    """Settings that allow a single kind and a single action."""
+    return AugmentSettings(probability=probability, kinds=(kind,), actions=(action,))
+
+
 def test_policy_validation():
-    with pytest.raises(ValueError):
-        AugmentPolicy("nope", "drop", 0.1)
-    with pytest.raises(ValueError):
-        AugmentPolicy("word_level", "nope", 0.1)
-    with pytest.raises(ValueError):
-        AugmentPolicy("word_level", "drop", 1.5)
+    with pytest.raises(TrainingError):
+        AugmentSettings(kinds=("nope",))
+    with pytest.raises(TrainingError):
+        AugmentSettings(actions=("nope",))
+    with pytest.raises(TrainingError):
+        AugmentSettings(probability=1.5)
+    with pytest.raises(TrainingError):
+        AugmentSettings(kinds=())
 
 
 def test_p_zero_is_identity(rng):
     piece = make_piece("a", ("x", "y", "z"), ("y",), 1, 3)
     for kind in AUGMENT_KINDS:
         for action in AUGMENT_ACTIONS:
-            out = augment(piece, AugmentPolicy(kind, action, 0.0), rng)
+            out = augment(piece, only(kind, action, 0.0), rng)
             assert out == piece
 
 
 def test_p_one_drop_guard_leaves_one_token(rng):
     piece = make_piece("a", ("t1", "t2", "t3", "t4", "t5"))
-    out = augment(piece, AugmentPolicy("word_level", "drop", 1.0), rng)
+    out = augment(piece, only("word_level", "drop", 1.0), rng)
     assert len(out.tokens) == 1
     assert out.tokens[0] in piece.tokens
     assert out.label == piece.label and out.id == piece.id
@@ -42,18 +52,18 @@ def test_p_one_drop_guard_leaves_one_token(rng):
 
 def test_mask_preserves_length(rng):
     piece = make_piece("a", ("t1", "t2", "t3"), ("t2",))
-    out = augment(piece, AugmentPolicy("word_level", "mask", 1.0), rng)
+    out = augment(piece, only("word_level", "mask", 1.0), rng)
     assert len(out.tokens) == len(piece.tokens)
     assert out.tokens == (MASK_TOKEN,) * 3
 
 
 def test_word_level_selection_fraction():
     rng = np.random.default_rng(7)
-    policy = AugmentPolicy("word_level", "mask", 0.1)
+    settings = only("word_level", "mask", 0.1)
     total = masked = 0
     for i in range(500):
         piece = make_piece(f"p{i}", tuple(f"t{j}" for j in range(20)))
-        out = augment(piece, policy, rng)
+        out = augment(piece, settings, rng)
         total += 20
         masked += sum(t == MASK_TOKEN for t in out.tokens)
     assert total == 10000
@@ -62,14 +72,14 @@ def test_word_level_selection_fraction():
 
 def test_entity_level_hits_whole_span(rng):
     piece = make_piece("a", ("New", "York", "is", "big"), ("New York",))
-    out = augment(piece, AugmentPolicy("entity_level", "mask", 1.0), rng)
+    out = augment(piece, only("entity_level", "mask", 1.0), rng)
     assert out.tokens == (MASK_TOKEN, MASK_TOKEN, "is", "big")
     assert out.entities == ()  # masked span no longer matches
 
 
 def test_entity_level_drop_removes_span_and_recomputes(rng):
     piece = make_piece("a", ("New", "York", "is", "big", "New", "York"), ("New York", "New York"))
-    out = augment(piece, AugmentPolicy("entity_level", "drop", 1.0), rng)
+    out = augment(piece, only("entity_level", "drop", 1.0), rng)
     assert out.tokens == ("is", "big")
     assert out.entities == ()
 
@@ -77,15 +87,15 @@ def test_entity_level_drop_removes_span_and_recomputes(rng):
 def test_label_and_id_never_change():
     rng = np.random.default_rng(3)
     piece = make_piece("keep", ("a", "b", "c", "d"), ("b",), 1, 9)
+    settings = AugmentSettings(probability=0.5)
     for _ in range(50):
-        policy = choose_policy(rng, probability=0.5)
-        out = augment(piece, policy, rng)
+        out = augment(piece, settings, rng)
         assert out.id == piece.id and out.label == piece.label and out.timestamp == piece.timestamp
 
 
 def test_external_entities_survive_editing(rng):
     piece = make_piece("a", ("x", "y"), ("external one",), 0, 0)
-    out = augment(piece, AugmentPolicy("word_level", "drop", 1.0), rng)
+    out = augment(piece, only("word_level", "drop", 1.0), rng)
     assert "external one" in out.entities
 
 
@@ -98,30 +108,143 @@ def test_recompute_entities_after_edit():
     piece = make_piece("a", ("u", "v", "w"), ("u", "w"))
     assert recompute_entities(piece, ("w", "u")) == ("w", "u")
     assert recompute_entities(piece, ("x",)) == ()
+    # an external entity stays external even when an edit joins its tokens
+    joined = make_piece("b", ("u", "x", "v"), ("u v",))
+    assert recompute_entities(joined, ("u", "v")) == ("u v",)
 
 
-def test_choose_policy_deterministic_and_uniform():
+# Every output of `augment` on this piece at probability 1 tells which kind and action were drawn.
+KIND_ACTION_PIECE = make_piece("a", ("New", "York", "is", "big"), ("New York",))
+
+
+def drawn_kind_action(out):
+    if out.tokens == (MASK_TOKEN,) * 4:
+        return "word_level", "mask"
+    if len(out.tokens) == 1:
+        return "word_level", "drop"
+    if out.tokens == (MASK_TOKEN, MASK_TOKEN, "is", "big"):
+        return "entity_level", "mask"
+    assert out.tokens == ("is", "big")
+    return "entity_level", "drop"
+
+
+def test_kind_action_draw_deterministic_and_uniform():
+    settings = AugmentSettings(probability=1.0)
     rng1 = np.random.default_rng(42)
     rng2 = np.random.default_rng(42)
-    seq1 = [choose_policy(rng1) for _ in range(20)]
-    seq2 = [choose_policy(rng2) for _ in range(20)]
+    seq1 = [augment(KIND_ACTION_PIECE, settings, rng1) for _ in range(20)]
+    seq2 = [augment(KIND_ACTION_PIECE, settings, rng2) for _ in range(20)]
     assert seq1 == seq2
 
     rng = np.random.default_rng(11)
     counts = {}
     n = 10000
     for _ in range(n):
-        p = choose_policy(rng)
-        counts[(p.kind, p.action)] = counts.get((p.kind, p.action), 0) + 1
+        key = drawn_kind_action(augment(KIND_ACTION_PIECE, settings, rng))
+        counts[key] = counts.get(key, 0) + 1
     assert len(counts) == 4
     for count in counts.values():
         assert abs(count / n - 0.25) <= 0.02
 
 
-def test_choose_policy_restriction(rng):
+def test_kind_action_restriction(rng):
     for _ in range(20):
-        p = choose_policy(rng, kinds=("word_level",))
-        assert p.kind == "word_level"
+        out = augment(KIND_ACTION_PIECE, AugmentSettings(probability=1.0, kinds=("word_level",)), rng)
+        assert drawn_kind_action(out)[0] == "word_level"
     for _ in range(20):
-        p = choose_policy(rng, actions=("mask",))
-        assert p.action == "mask"
+        out = augment(KIND_ACTION_PIECE, AugmentSettings(probability=1.0, actions=("mask",)), rng)
+        assert drawn_kind_action(out)[1] == "mask"
+
+
+def reference_recompute_entities(piece, new_tokens):
+    """Entity recount before it read the external partition from the piece."""
+    in_text = {e for e in piece.entities if contains_subsequence(piece.tokens, e.split())}
+    external = tuple(e for e in piece.entities if e not in in_text)
+    forms = {}
+    for e in in_text:
+        forms.setdefault(tuple(e.split()), e)
+    matched = longest_matches(tuple(new_tokens), max(map(len, forms)), forms, tuple) if forms else []
+    return tuple(e for _, _, e in matched) + external
+
+
+def reference_augment(piece, settings, rng, seen):
+    """The augmentation path `augment` replaced: the training gate, `choose_policy`, then one scalar draw per token or span.
+
+    Adds the drawn (kind, action) to `seen`, and "fallback" when the drop-all guard ran.
+    """
+    if not settings.enabled:
+        return piece
+    if settings.apply_probability < 1.0 and rng.random() >= settings.apply_probability:
+        return piece
+    kind = settings.kinds[int(rng.integers(len(settings.kinds)))]
+    action = settings.actions[int(rng.integers(len(settings.actions)))]
+    seen.add((kind, action))
+    p = settings.probability
+    tokens = piece.tokens
+    if kind == "word_level":
+        selected = {i for i in range(len(tokens)) if rng.random() < p}
+    else:
+        selected = set()
+        for a, b in entity_spans(tokens, set(piece.entities)):
+            if rng.random() < p:
+                selected.update(range(a, b))
+    if not selected:
+        return piece
+    if action == "mask":
+        new_tokens = tuple(MASK_TOKEN if i in selected else t for i, t in enumerate(tokens))
+    else:
+        new_tokens = tuple(t for i, t in enumerate(tokens) if i not in selected)
+        if not new_tokens:
+            seen.add("fallback")
+            keep = int(rng.integers(len(tokens)))
+            new_tokens = (tokens[keep],)
+    return replace(piece, tokens=new_tokens, entities=reference_recompute_entities(piece, new_tokens))
+
+
+def random_piece(rng, i):
+    """1-12 tokens over a small alphabet; in-text single- and multi-token entities, sometimes external ones.
+
+    An external entity made of the piece's own words can become contiguous once a drop joins its tokens.
+    """
+    words = ("a", "b", "c", "d", "e")
+    tokens = tuple(words[k] for k in rng.integers(0, len(words), int(rng.integers(1, 13))))
+    candidates = ("a", "b c", "c d e", "d", "a b")
+    entities = [e for e in candidates if contains_subsequence(tokens, e.split()) and rng.random() < 0.7]
+    absent = [e for e in candidates if not contains_subsequence(tokens, e.split())]
+    if absent and rng.random() < 0.5:
+        entities.append(absent[0])
+    if rng.random() < 0.3:
+        entities.append("outside entity")
+    if entities and rng.random() < 0.3:
+        entities.append(entities[0])
+    return make_piece(f"p{i}", tokens, entities, int(rng.integers(2)), i)
+
+
+REFERENCE_SETTINGS = (
+    AugmentSettings(),
+    AugmentSettings(probability=0.5),
+    AugmentSettings(probability=1.0),
+    AugmentSettings(probability=0.3, apply_probability=0.7),
+    AugmentSettings(probability=0.0, apply_probability=0.5),
+    AugmentSettings(probability=0.6, kinds=("entity_level",)),
+    AugmentSettings(probability=0.9, kinds=("word_level",), actions=("drop",)),
+    AugmentSettings(probability=0.8, actions=("mask",)),
+    AugmentSettings(enabled=False),
+)
+
+
+def test_augment_matches_reference_stream():
+    seen = set()
+    for seed in range(40):
+        data_rng = np.random.default_rng(1000 + seed)
+        pieces = [random_piece(data_rng, i) for i in range(30)]
+        for settings in REFERENCE_SETTINGS:
+            rng = np.random.default_rng(seed)
+            ref_rng = np.random.default_rng(seed)
+            for piece in pieces:
+                out = augment(piece, settings, rng)
+                expect = reference_augment(piece, settings, ref_rng, seen)
+                assert out == expect
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
+    kinds_actions = {(k, a) for k in AUGMENT_KINDS for a in AUGMENT_ACTIONS}
+    assert kinds_actions | {"fallback"} <= seen

@@ -8,6 +8,7 @@ from endef.corpus import (
     Corpus,
     CorpusError,
     NewsPiece,
+    SplitResult,
     contains_subsequence,
     entity_bias_table,
     export_bias_table,
@@ -204,6 +205,17 @@ def test_temporal_split_errors():
     big = Corpus(tuple(make_piece(f"p{i}", ("x",), (), 0, i) for i in range(10)))
     with pytest.raises(CorpusError):
         temporal_split(big, 0.7, 0.3, 0)  # no room for test
+
+
+def test_split_without_test_part_keeps_its_checks():
+    old = Corpus((make_piece("a", ("x",), (), 0, 1),))
+    new = Corpus((make_piece("b", ("x",), (), 0, 2),))
+    split = SplitResult(old, new)
+    assert len(split.test) == 0
+    with pytest.raises(CorpusError):
+        SplitResult(new, old)  # train newer than validation
+    with pytest.raises(CorpusError):
+        SplitResult(old, old)  # shared ids
 
 
 @settings(max_examples=40, deadline=None)

@@ -135,9 +135,9 @@ def test_validation_and_test_never_augmented(monkeypatch):
     seen = []
     real_augment = aug.augment
 
-    def spy(piece, policy, rng):
+    def spy(piece, settings, rng):
         seen.append(piece.id)
-        return real_augment(piece, policy, rng)
+        return real_augment(piece, settings, rng)
 
     monkeypatch.setattr(aug, "augment", spy)
     model = make_endef_model(det_spec, ent_spec, vocab, seed=0)
@@ -148,11 +148,13 @@ def test_validation_and_test_never_augmented(monkeypatch):
 
 
 def test_augment_disabled_consumes_no_randomness():
-    split, vocab, det_spec, ent_spec, cfg = tiny_setup()
-    cfg = replace(cfg, augment=AugmentSettings(enabled=False))
-    model = ScalarModel(det_spec, vocab, seed=1)
-    result = train(model, split, cfg)
-    assert len(result.history) >= 1
+    split, *_ = tiny_setup()
+    settings = AugmentSettings(enabled=False, probability=1.0)
+    rng = np.random.default_rng(4)
+    state = rng.bit_generator.state
+    for piece in split.train:
+        assert aug.augment(piece, settings, rng) is piece
+    assert rng.bit_generator.state == state
 
 
 def test_vocabulary_from_train_split_only():
