@@ -3,8 +3,8 @@
 from dataclasses import replace
 
 from .recognizer import longest_matches
+from .vocab import MASK_TOKEN
 
-MASK_TOKEN = "[MASK]"
 AUGMENT_KINDS = ("word_level", "entity_level")
 AUGMENT_ACTIONS = ("drop", "mask")
 

@@ -143,32 +143,32 @@ def _write_history(path, history):
 
 
 def _build_model(mode, cfg, detector_spec, entity_spec, vocab):
-    """The untrained model of a training mode and the input view its detector reads."""
+    """The untrained model of a training mode."""
     if mode == "endef":
-        model = make_endef_model(detector_spec, entity_spec, vocab, seed=cfg.seed, alpha=cfg.alpha, beta=cfg.beta)
-        return model, "tokens"
+        return make_endef_model(detector_spec, entity_spec, vocab, seed=cfg.seed, alpha=cfg.alpha, beta=cfg.beta)
     if mode == "baseline":
-        return ScalarModel(detector_spec, vocab, seed=cfg.seed), "tokens"
+        return ScalarModel(detector_spec, vocab, seed=cfg.seed)
     if mode == "entity-only":
-        return ScalarModel(entity_spec, vocab, seed=cfg.seed), "entities"
+        return ScalarModel(entity_spec, vocab, seed=cfg.seed, reads="entities")
     raise ValueError(f"unknown training mode {mode!r}")
 
 
 def _train_single(mode, split, evaluate_test, cfg, detector_spec, entity_spec, out, scale_by_alpha):
     vocab = build_vocabulary(split.train, cfg.min_token_freq)
-    model, input_mode = _build_model(mode, cfg, detector_spec, entity_spec, vocab)
-    result = train(model, split, cfg, input_mode)
+    result = train(_build_model(mode, cfg, detector_spec, entity_spec, vocab), split, cfg)
     save_checkpoint(result.model, out / "checkpoint.json")
     _write_history(out / "history.jsonl", result.history)
     report = None
     if evaluate_test:
-        report = evaluate_model(result.model, split.test, cfg.max_len, input_mode=input_mode, scale_by_alpha=scale_by_alpha)
+        report = evaluate_model(result.model, split.test, cfg.max_len, scale_by_alpha=scale_by_alpha)
         _write_json(out / "report.json", report.to_dict())
         (out / "report.txt").write_text(report.format_table() + "\n", encoding="utf-8")
     return result, report
 
 
 def cmd_train(args):
+    if args.runs < 1:
+        raise ValueError(f"--runs must be at least 1, got {args.runs}")
     cfg, detector_spec, entity_spec, scale_by_alpha, resolved = _resolve_train_setup(args)
     parts = [load_corpus(args.train), load_corpus(args.val)]
     if args.test:
@@ -176,7 +176,7 @@ def cmd_train(args):
     split = SplitResult(*parts)
     evaluate_test = bool(args.test)
     out = _out_dir(args)
-    if args.runs <= 1:
+    if args.runs == 1:
         result, report = _train_single(args.mode, split, evaluate_test, cfg, detector_spec, entity_spec, out, scale_by_alpha)
         if report is not None:
             print(report.format_table())

@@ -59,7 +59,7 @@ class NewsPiece:
         if isinstance(self.label, bool) or self.label not in (0, 1):
             raise CorpusError(f"piece {self.id!r}: label must be 0 or 1, got {self.label!r}")
         if isinstance(self.timestamp, bool) or not isinstance(self.timestamp, int) or self.timestamp < 0:
-            raise CorpusError(f"piece {self.id!r}: timestamp must be a non-negative integer")
+            raise CorpusError(f"piece {self.id!r}: timestamp must be a non-negative integer, got {self.timestamp!r}")
         if any(not e for e in self.entities):
             raise CorpusError(f"piece {self.id!r}: empty entity string")
         if self.needs_recognition and self.entities:
@@ -114,22 +114,15 @@ def _piece_from_record(raw, lowercase):
         tokens = tokenize(str(raw["text"]), lowercase=lowercase)
     else:
         raise CorpusError("record needs either 'tokens' or 'text'")
-    if "label" not in raw:
-        raise CorpusError("missing field 'label'")
-    label = raw["label"]
-    if isinstance(label, bool) or label not in (0, 1):
-        raise CorpusError(f"label must be 0 or 1, got {label!r}")
-    if "timestamp" not in raw:
-        raise CorpusError("missing field 'timestamp'")
-    ts = raw["timestamp"]
-    if isinstance(ts, bool) or not isinstance(ts, int) or ts < 0:
-        raise CorpusError(f"timestamp must be a non-negative integer, got {ts!r}")
+    for key in ("label", "timestamp"):
+        if key not in raw:
+            raise CorpusError(f"missing field {key!r}")
     entities = raw.get("entities")
     if entities is None:
-        return NewsPiece(pid, tokens, (), label, ts, needs_recognition=True)
+        return NewsPiece(pid, tokens, (), raw["label"], raw["timestamp"], needs_recognition=True)
     if not isinstance(entities, list) or not all(isinstance(e, str) for e in entities):
         raise CorpusError("'entities' must be a list of strings")
-    return NewsPiece(pid, tokens, tuple(entities), label, ts)
+    return NewsPiece(pid, tokens, tuple(entities), raw["label"], raw["timestamp"])
 
 
 def load_corpus(path, *, lowercase=False, name=None):

@@ -126,8 +126,8 @@ def run_entity_only_probe(bias_spec, entity_spec, cfg, seed=0):
     split = split_for(bias_spec, corpus, seed=bias_spec.seed)
     vocab = build_vocabulary(split.train, cfg.min_token_freq)
     probe_cfg = replace(cfg, seed=seed, augment=replace(cfg.augment, enabled=False))
-    model = ScalarModel(entity_spec, vocab, seed=seed)
-    train(model, split, probe_cfg, input_mode="entities")
-    train_report = evaluate_model(model, split.train, probe_cfg.max_len, input_mode="entities")
-    test_report = evaluate_model(model, split.test, probe_cfg.max_len, input_mode="entities")
+    model = ScalarModel(entity_spec, vocab, seed=seed, reads="entities")
+    train(model, split, probe_cfg)
+    train_report = evaluate_model(model, split.train, probe_cfg.max_len)
+    test_report = evaluate_model(model, split.test, probe_cfg.max_len)
     return {"train_acc": train_report.acc, "test_auc": test_report.auc, "model": model}

@@ -9,11 +9,12 @@ learned from historical data cannot steer predictions on future data.
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
+from .augmentation import recompute_entities
 from .models import MAX_SEQ_LEN, ModelError, ScalarModel, binary_cross_entropy, sigmoid
 
 DEFAULT_ALPHA = 0.8
@@ -51,17 +52,27 @@ class EndefModel:
 def make_endef_model(detector_spec, entity_spec, vocab, *, seed=0, alpha=DEFAULT_ALPHA, beta=DEFAULT_BETA):
     """Build both branches; the detector initializes from `seed`, the entity branch from a derived seed."""
     detector = ScalarModel(detector_spec, vocab, seed=seed)
-    entity_model = ScalarModel(entity_spec, vocab, seed=seed + ENTITY_SEED_OFFSET)
+    entity_model = ScalarModel(entity_spec, vocab, seed=seed + ENTITY_SEED_OFFSET, reads="entities")
     return EndefModel(entity_model, detector, alpha, beta)
 
 
-def encode_input(vocab, piece, max_len, input_mode):
-    """Token ids of a piece's token stream or of its entity mentions (a lone [PAD] when it has none)."""
-    if input_mode == "tokens":
-        return vocab.encode_tokens(piece.tokens, max_len)
-    if input_mode == "entities":
-        return vocab.encode_entities(piece.entities, max_len)
-    raise ModelError(f"unknown input_mode {input_mode!r}")
+def truncate_piece(piece, max_len):
+    """Cut tokens to max_len and re-locate entities on the shortened sequence."""
+    if len(piece.tokens) <= max_len:
+        return piece
+    new_tokens = piece.tokens[:max_len]
+    return replace(piece, tokens=new_tokens, entities=recompute_entities(piece, new_tokens))
+
+
+def input_ids(encoder, piece, max_len):
+    """The ids an encoder reads from a piece cut to max_len: its tokens, or the entities left in them.
+
+    Training, validation and scoring all go through here, so a long piece's
+    entity mentions are recounted on its truncated tokens wherever it is read.
+    """
+    if encoder.reads == "tokens":
+        return encoder.vocab.encode_tokens(piece.tokens, max_len)
+    return encoder.vocab.encode_entities(truncate_piece(piece, max_len).entities, max_len)
 
 
 def branches(model):
@@ -71,7 +82,7 @@ def branches(model):
     return {"detector": model}
 
 
-def loss_total(model, batch, max_len=MAX_SEQ_LEN, stop_grad_entity_from_overall=False, input_mode="tokens"):
+def loss_total(model, batch, max_len=MAX_SEQ_LEN, stop_grad_entity_from_overall=False):
     """Mean fused loss plus beta times mean entity loss, with gradients for every branch.
 
     Returns (loss, grads) with grads keyed like `branches(model)`. The fused
@@ -79,19 +90,14 @@ def loss_total(model, batch, max_len=MAX_SEQ_LEN, stop_grad_entity_from_overall=
     auxiliary entity term touches only the entity branch. With
     stop_grad_entity_from_overall the fused term's gradient into the entity
     branch is suppressed. A single encoder is this objective with alpha = 1,
-    beta = 0 and no entity branch. input_mode picks the detector's input
-    view; the entity branch always reads the entity mentions. Each branch
-    runs one forward and one backward pass over the whole batch; the loss
-    itself is summed one sample at a time.
+    beta = 0 and no entity branch. Each branch reads its own view and runs
+    one forward and one backward pass over the whole batch; the loss itself
+    is summed one sample at a time.
     """
     if len(batch) == 0:
         raise ModelError("loss_total needs a non-empty batch")
     encoders = branches(model)
-    views = {"detector": input_mode, "entity": "entities"}
-    passes = {
-        name: enc._forward_cache([encode_input(enc.vocab, p, max_len, views[name]) for p in batch])
-        for name, enc in encoders.items()
-    }
+    passes = {name: enc._forward_cache([input_ids(enc, p, max_len) for p in batch]) for name, enc in encoders.items()}
     alpha, beta = (model.alpha, model.beta) if "entity" in encoders else (1.0, 0.0)
     r_det = passes["detector"][0].tolist()
     r_ent = passes["entity"][0].tolist() if "entity" in encoders else None
@@ -126,8 +132,8 @@ def loss_total(model, batch, max_len=MAX_SEQ_LEN, stop_grad_entity_from_overall=
     return loss, grads
 
 
-def logits(encoder, pieces, max_len=MAX_SEQ_LEN, input_mode="tokens"):
-    """The raw logit of one encoder for every piece, read from the chosen input view.
+def logits(encoder, pieces, max_len=MAX_SEQ_LEN):
+    """The raw logit of one encoder for every piece, read from the encoder's view.
 
     Pieces are scored in corpus order in fixed chunks of SCORE_CHUNK, so a
     piece's logit does not depend on which caller scores the corpus.
@@ -136,18 +142,18 @@ def logits(encoder, pieces, max_len=MAX_SEQ_LEN, input_mode="tokens"):
     out = []
     for start in range(0, len(pieces), SCORE_CHUNK):
         chunk = pieces[start : start + SCORE_CHUNK]
-        out += encoder._forward_cache([encode_input(encoder.vocab, p, max_len, input_mode) for p in chunk])[0].tolist()
+        out += encoder._forward_cache([input_ids(encoder, p, max_len) for p in chunk])[0].tolist()
     return out
 
 
-def score(model, pieces, max_len=MAX_SEQ_LEN, input_mode="tokens", scale_by_alpha=False):
+def score(model, pieces, max_len=MAX_SEQ_LEN, scale_by_alpha=False):
     """Detector-only probabilities for every piece; the entity branch is never evaluated.
 
     scale_by_alpha multiplies a fused model's detector logit by the fusion
     weight before the sigmoid; rankings (AUC-family metrics) are unaffected
     either way, and a single encoder has nothing to scale.
     """
-    r = logits(branches(model)["detector"], pieces, max_len, input_mode)
+    r = logits(branches(model)["detector"], pieces, max_len)
     if scale_by_alpha and isinstance(model, EndefModel):
         r = [model.alpha * x for x in r]
     return np.array([sigmoid(x) for x in r], dtype=np.float64)
@@ -159,7 +165,7 @@ def case_report(model, corpus, max_len=MAX_SEQ_LEN, scale_by_alpha=False):
         raise ModelError("case-report needs a fused endef_model checkpoint, not a single-encoder scalar_model")
     alpha = model.alpha
     r_det = logits(model.detector, corpus, max_len)
-    r_ent = logits(model.entity_model, corpus, max_len, "entities")
+    r_ent = logits(model.entity_model, corpus, max_len)
     rows = []
     for piece, d, e in zip(corpus, r_det, r_ent):
         p_detector = sigmoid(d)
@@ -202,7 +208,7 @@ def load_checkpoint(path):
         if payload.get("format_version") != 1:
             raise ModelError(f"unsupported checkpoint format_version {payload.get('format_version')!r}")
         return EndefModel(
-            ScalarModel.from_payload(payload["entity_model"]),
+            ScalarModel.from_payload(payload["entity_model"], reads="entities"),
             ScalarModel.from_payload(payload["detector"]),
             float(payload["alpha"]),
             float(payload["beta"]),

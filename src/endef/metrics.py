@@ -8,7 +8,7 @@ come from that one sweep.
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import ClassVar
 
 import numpy as np
@@ -173,19 +173,7 @@ class EvalReport:
         return tuple(getattr(self, f) for f in _REPORT_FIELDS)
 
     def to_dict(self):
-        return {
-            "macf1": self.macf1,
-            "acc": self.acc,
-            "auc": self.auc,
-            "spauc": self.spauc,
-            "f1_real": self.f1_real,
-            "f1_fake": self.f1_fake,
-            "tp": self.tp,
-            "fp": self.fp,
-            "tn": self.tn,
-            "fn": self.fn,
-            "maxfpr": self.maxfpr,
-        }
+        return asdict(self)
 
     def to_json(self):
         return json.dumps(self.to_dict(), sort_keys=True)

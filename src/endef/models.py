@@ -19,6 +19,9 @@ ENCODER_KINDS = (BAG_OF_EMBEDDINGS, CONV_NGRAM)
 
 MAX_SEQ_LEN = 170  # default truncation applied by callers before forward
 
+# what an encoder reads from a piece: its token stream, or its entity mentions
+INPUT_VIEWS = ("tokens", "entities")
+
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
@@ -167,11 +170,14 @@ def _init_params(layout, rng):
 
 
 class ScalarModel:
-    """A scalar-logit encoder: architecture spec + vocabulary + flat parameters."""
+    """A scalar-logit encoder: architecture spec + vocabulary + flat parameters + the view it reads."""
 
-    def __init__(self, spec, vocab, params=None, seed=0):
+    def __init__(self, spec, vocab, params=None, seed=0, reads="tokens"):
+        if reads not in INPUT_VIEWS:
+            raise ModelError(f"an encoder reads one of {INPUT_VIEWS}, not {reads!r}")
         self.spec = spec
         self.vocab = vocab
+        self.reads = reads
         self.layout = _build_layout(spec, vocab.size)
         if params is None:
             params = _init_params(self.layout, np.random.default_rng(seed))
@@ -301,13 +307,15 @@ class ScalarModel:
         return {
             "format_version": 1,
             "kind": "scalar_model",
+            "reads": self.reads,
             "spec": self.spec.to_payload(),
             "vocab": self.vocab.to_payload(),
             "params": self.params.tolist(),
         }
 
     @classmethod
-    def from_payload(cls, payload):
+    def from_payload(cls, payload, reads="tokens"):
+        """The encoder a payload describes; `reads` is the view of a payload that records none."""
         from .vocab import Vocabulary
 
         if payload.get("format_version") != 1:
@@ -318,6 +326,7 @@ class ScalarModel:
             EncoderSpec.from_payload(payload["spec"]),
             Vocabulary.from_payload(payload["vocab"]),
             params=np.asarray(payload["params"], dtype=np.float64),
+            reads=payload.get("reads", reads),
         )
 
 

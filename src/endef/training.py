@@ -9,13 +9,13 @@ are never augmented, and the vocabulary must come from the train part alone.
 """
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import augmentation as aug
-from .augmentation import AUGMENT_ACTIONS, AUGMENT_KINDS, recompute_entities
-from .framework import branches, loss_total, make_endef_model, score
+from .augmentation import AUGMENT_ACTIONS, AUGMENT_KINDS
+from .framework import branches, loss_total, make_endef_model, score, truncate_piece
 from .metrics import DEFAULT_MAXFPR, PredictionSet, evaluate, f1_scores
 from .models import MAX_SEQ_LEN, AdamState, ModelError, adam_step
 from .vocab import build_vocabulary
@@ -104,21 +104,13 @@ def _rng_streams(seed):
     return np.random.default_rng(shuffle_ss), np.random.default_rng(augment_ss)
 
 
-def truncate_piece(piece, max_len):
-    """Cut tokens to max_len and re-locate entities on the shortened sequence."""
-    if len(piece.tokens) <= max_len:
-        return piece
-    new_tokens = piece.tokens[:max_len]
-    return replace(piece, tokens=new_tokens, entities=recompute_entities(piece, new_tokens))
-
-
 def labels_of(corpus):
     return np.array([p.label for p in corpus], dtype=np.int64)
 
 
-def evaluate_model(model, corpus, max_len=MAX_SEQ_LEN, maxfpr=DEFAULT_MAXFPR, input_mode="tokens", scale_by_alpha=False):
-    """Full metric report for a trained model on an un-augmented corpus."""
-    scores = score(model, corpus, max_len, input_mode, scale_by_alpha)
+def evaluate_model(model, corpus, max_len=MAX_SEQ_LEN, maxfpr=DEFAULT_MAXFPR, scale_by_alpha=False):
+    """Full metric report for a trained model on an un-augmented corpus, scored as validation scores it."""
+    scores = score(model, corpus, max_len, scale_by_alpha)
     return evaluate(PredictionSet(scores, labels_of(corpus)), maxfpr)
 
 
@@ -130,12 +122,13 @@ def _check_split(split):
             raise TrainingError(f"{label} part is empty")
 
 
-def train(model, split, cfg, input_mode="tokens"):
+def train(model, split, cfg):
     """Train a fused EndefModel or a single ScalarModel; early stop on the detector's validation macro F1.
 
-    input_mode picks the detector's input view; "entities" trains a single
-    encoder on entity mentions alone, which is how an entity-only shortcut
-    classifier is built. The model is updated in place and, after the run,
+    Each encoder reads the view it was built with; a single encoder that
+    reads entities is the entity-only shortcut classifier. Training pieces
+    are truncated up front because augmentation draws per token of the
+    truncated piece. The model is updated in place and, after the run,
     holds the parameters of the best validation epoch (not the last one).
     """
     _check_split(split)
@@ -143,8 +136,7 @@ def train(model, split, cfg, input_mode="tokens"):
     opts = {name: AdamState.zeros(enc.num_params) for name, enc in encoders.items()}
     shuffle_rng, augment_rng = _rng_streams(cfg.seed)
     train_pieces = [truncate_piece(p, cfg.max_len) for p in split.train]
-    val_pieces = [truncate_piece(p, cfg.max_len) for p in split.validation]
-    val_labels = labels_of(val_pieces)
+    val_labels = labels_of(split.validation)
     n = len(train_pieces)
     best_metric = -math.inf
     best_params = {name: enc.params.copy() for name, enc in encoders.items()}
@@ -160,7 +152,7 @@ def train(model, split, cfg, input_mode="tokens"):
             batch = [aug.augment(train_pieces[i], cfg.augment, augment_rng) for i in batch_idx]
             step += 1
             try:
-                loss, grads = loss_total(model, batch, cfg.max_len, cfg.stop_grad_entity_from_overall, input_mode)
+                loss, grads = loss_total(model, batch, cfg.max_len, cfg.stop_grad_entity_from_overall)
             except ModelError as exc:
                 raise TrainingError(f"epoch {epoch}, batch {start // cfg.batch_size + 1}: {exc}") from exc
             for name, enc in encoders.items():
@@ -168,7 +160,7 @@ def train(model, split, cfg, input_mode="tokens"):
             # dense gradients are parameter-sized; free them before the next batch allocates its own
             del grads
             loss_sum += loss * len(batch_idx)
-        val_scores = score(model, val_pieces, cfg.max_len, input_mode)
+        val_scores = score(model, split.validation, cfg.max_len)
         val_macf1 = f1_scores(PredictionSet(val_scores, val_labels)).macf1
         improved = val_macf1 > best_metric
         history.append(

@@ -173,7 +173,7 @@ def test_criterion_4_loss_algebra_and_trajectory_equivalence():
         without = make_endef_model(spec, spec, vocab, seed=seed, alpha=0.8, beta=0.0)
         lb = loss_total(with_beta, batch)[0]
         l0 = loss_total(without, batch)[0]
-        r_ent = logits(with_beta.entity_model, batch, input_mode="entities")
+        r_ent = logits(with_beta.entity_model, batch)
         mean_entity = sum(binary_cross_entropy(sigmoid(r), p.label) for r, p in zip(r_ent, batch)) / len(batch)
         assert abs((lb - l0) - beta * mean_entity) <= 1e-12
 

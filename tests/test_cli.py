@@ -194,9 +194,7 @@ def test_train_evaluate_case_report_end_to_end(spec_file, tmp_path, capsys):
     )
     assert code == 0
     capsys.readouterr()
-    direct = json.loads((run_dir / "report.json").read_text())
-    rerun = json.loads((eval_dir / "report.json").read_text())
-    assert rerun == direct
+    assert (eval_dir / "report.json").read_bytes() == (run_dir / "report.json").read_bytes()
 
     case_dir = tmp_path / "cases"
     code = run_cli(
@@ -228,7 +226,35 @@ def test_train_baseline_and_entity_only_modes(spec_file, tmp_path, capsys):
         )
         assert code == 0
         capsys.readouterr()
-        assert (run_dir / "checkpoint.json").exists()
+        checkpoint = json.loads((run_dir / "checkpoint.json").read_text())
+        assert checkpoint["reads"] == {"baseline": "tokens", "entity-only": "entities"}[mode]
+        # the checkpoint alone reproduces the report training wrote, whatever view the encoder reads
+        eval_dir = tmp_path / f"eval-{mode}"
+        assert run_cli(
+            "evaluate",
+            "--checkpoint", run_dir / "checkpoint.json",
+            "--corpus", split_dir / "test.jsonl",
+            "--out-dir", eval_dir,
+        ) == 0
+        capsys.readouterr()
+        assert (eval_dir / "report.json").read_bytes() == (run_dir / "report.json").read_bytes()
+
+
+def test_train_rejects_runs_below_one(spec_file, tmp_path, capsys):
+    split_dir = prepare_split_dir(tmp_path, spec_file)
+    capsys.readouterr()
+    for runs in (0, -1):
+        run_dir = tmp_path / f"runs{runs}"
+        code = run_cli(
+            "train",
+            "--train", split_dir / "train.jsonl",
+            "--val", split_dir / "val.jsonl",
+            "--runs", runs,
+            "--out-dir", run_dir,
+        )
+        assert code == 1
+        assert "--runs must be at least 1" in capsys.readouterr().err
+        assert not run_dir.exists()
 
 
 def test_train_multi_runs_aggregate(spec_file, tmp_path, capsys):

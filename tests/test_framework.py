@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from endef.framework import (
     EndefModel,
     case_report,
-    encode_input,
+    input_ids,
     load_checkpoint,
     logits,
     loss_total,
@@ -50,7 +51,7 @@ def force_logits(model, r_det, r_ent):
 
 
 def entity_logits(model, pieces):
-    return logits(model.entity_model, pieces, input_mode="entities")
+    return logits(model.entity_model, pieces)
 
 
 def test_fused_forward_zero_logits_give_half():
@@ -162,19 +163,19 @@ def test_loss_total_gradient_matches_finite_differences_all_kind_pairs():
             assert max_relative_error(grads[branch_name], numeric) < 1e-4, (det_kind, ent_kind, branch_name)
     # a single encoder is the same objective with no entity branch, on either input view
     for kind in (BAG_OF_EMBEDDINGS, CONV_NGRAM):
-        for input_mode in ("tokens", "entities"):
+        for reads in ("tokens", "entities"):
             single = None
             for seed in range(31, 131):
-                candidate = ScalarModel(tiny_spec(kind), tiny_vocab(), seed=seed)
-                ids = [encode_input(candidate.vocab, p, 170, input_mode) for p in batch]
+                candidate = ScalarModel(tiny_spec(kind), tiny_vocab(), seed=seed, reads=reads)
+                ids = [input_ids(candidate, p, 170) for p in batch]
                 if min(relu_safety_margin(candidate, i) for i in ids) > 1e-3:
                     single = candidate
                     break
             assert single is not None, "no kink-safe random model found"
-            _, grads = loss_total(single, batch, input_mode=input_mode)
+            _, grads = loss_total(single, batch)
             assert set(grads) == {"detector"}
-            numeric = finite_difference(lambda: loss_total(single, batch, input_mode=input_mode)[0], single.params)
-            assert max_relative_error(grads["detector"], numeric) < 1e-4, (kind, input_mode)
+            numeric = finite_difference(lambda: loss_total(single, batch)[0], single.params)
+            assert max_relative_error(grads["detector"], numeric) < 1e-4, (kind, reads)
 
 
 def test_stop_grad_flag_suppresses_fused_path_into_entity_branch():
@@ -312,10 +313,21 @@ def test_checkpoint_round_trip(tmp_path):
     assert loaded.alpha == model.alpha and loaded.beta == model.beta
     assert np.array_equal(loaded.detector.params, model.detector.params)
     assert np.array_equal(loaded.entity_model.params, model.entity_model.params)
+    assert (loaded.detector.reads, loaded.entity_model.reads) == ("tokens", "entities")
     pieces = sample_batch()
     assert np.array_equal(score(loaded, pieces), score(model, pieces))
+    rows = case_report(model, pieces)
+    assert case_report(loaded, pieces) == rows
 
-    scalar = ScalarModel(tiny_spec(BAG_OF_EMBEDDINGS), tiny_vocab(), seed=3)
-    save_checkpoint(scalar, path)
-    again = load_checkpoint(path)
-    assert np.array_equal(again.params, scalar.params)
+    # a checkpoint written before encoders recorded their view reads as one written after
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    del payload["detector"]["reads"], payload["entity_model"]["reads"]
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    assert case_report(load_checkpoint(path), pieces) == rows
+
+    for reads in ("tokens", "entities"):
+        scalar = ScalarModel(tiny_spec(BAG_OF_EMBEDDINGS), tiny_vocab(), seed=3, reads=reads)
+        save_checkpoint(scalar, path)
+        again = load_checkpoint(path)
+        assert np.array_equal(again.params, scalar.params)
+        assert again.reads == reads

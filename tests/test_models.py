@@ -444,6 +444,9 @@ def test_checkpoint_payload_round_trip():
     assert np.array_equal(clone.params, model.params)
     assert clone.spec == model.spec
     assert clone.vocab == model.vocab
+    assert clone.reads == model.reads == "tokens"
+    with pytest.raises(ModelError, match="reads"):
+        ScalarModel(tiny_spec(CONV_NGRAM), vocab, reads="words")
 
 
 def test_sigmoid_and_cross_entropy():

@@ -15,7 +15,7 @@ from endef.experiments import (
     split_for,
     unbiased_spec,
 )
-from endef.framework import make_endef_model
+from endef.framework import input_ids, make_endef_model
 from endef.models import BAG_OF_EMBEDDINGS, CONV_NGRAM, EncoderSpec, ScalarModel
 from endef.synthetic import BiasSpec, generate
 from endef.training import (
@@ -79,6 +79,11 @@ def test_truncate_piece_relocates_entities():
     assert cut.tokens == ("e1", "x")
     assert cut.entities == ("e1",)
     assert truncate_piece(piece, 10) is piece
+    # every encoder reads the cut piece, so an entity reader sees only the entities left in it
+    vocab = build_vocabulary([piece], 1)
+    for reads, expect in (("tokens", ("e1", "x")), ("entities", ("e1",))):
+        encoder = ScalarModel(EncoderSpec(BAG_OF_EMBEDDINGS), vocab, reads=reads)
+        assert input_ids(encoder, piece, 2).tolist() == vocab.encode_tokens(expect).tolist()
 
 
 def test_empty_split_part_rejected():
@@ -170,12 +175,16 @@ def test_vocabulary_from_train_split_only():
 def test_early_stopping_returns_best_checkpoint_not_last():
     split, vocab, det_spec, ent_spec, cfg = tiny_setup()
     cfg = replace(cfg, max_epochs=8, patience=8, lr=2e-2)
-    model = make_endef_model(det_spec, ent_spec, vocab, seed=2)
-    result = train(model, split, cfg)
-    best_recorded = max(h["val_macf1"] for h in result.history)
-    assert result.best_val_macf1 == best_recorded
-    rescored = evaluate_model(result.model, split.validation, cfg.max_len)
-    assert rescored.macf1 == pytest.approx(best_recorded, abs=1e-12)
+    # documents run 8-14 tokens, so at max_len 6 rescoring must recount entities on the cut tokens as training did
+    for model, run_cfg in (
+        (make_endef_model(det_spec, ent_spec, vocab, seed=2), cfg),
+        (ScalarModel(ent_spec, vocab, seed=2, reads="entities"), replace(cfg, max_len=6)),
+    ):
+        result = train(model, split, run_cfg)
+        best_recorded = max(h["val_macf1"] for h in result.history)
+        assert result.best_val_macf1 == best_recorded
+        rescored = evaluate_model(result.model, split.validation, run_cfg.max_len)
+        assert rescored.macf1 == pytest.approx(best_recorded, abs=1e-12)
 
 
 def test_both_encoder_kinds_train():
