@@ -26,6 +26,7 @@ from .corpus import (
     tokenize,
 )
 from .framework import (
+    Checkpoint,
     EndefModel,
     case_report,
     load_checkpoint,

@@ -24,7 +24,9 @@ def _entity_matches(tokens, entity_strings):
     forms = _entity_forms(entity_strings)
     if not forms:
         return []
-    return longest_matches(tuple(tokens), max(map(len, forms)), forms, tuple)
+    tokens = tuple(tokens)
+    starts = {form[0] for form in forms}
+    return longest_matches(tokens, range(len(tokens) + 1), max(map(len, forms)), forms, starts)
 
 
 def entity_spans(tokens, entity_strings):

@@ -156,7 +156,7 @@ def _build_model(mode, cfg, detector_spec, entity_spec, vocab):
 def _train_single(mode, split, evaluate_test, cfg, detector_spec, entity_spec, out, scale_by_alpha):
     vocab = build_vocabulary(split.train, cfg.min_token_freq)
     result = train(_build_model(mode, cfg, detector_spec, entity_spec, vocab), split, cfg)
-    save_checkpoint(result.model, out / "checkpoint.json")
+    save_checkpoint(result.model, out / "checkpoint.json", cfg.max_len, scale_by_alpha)
     _write_history(out / "history.jsonl", result.history)
     report = None
     if evaluate_test:
@@ -222,9 +222,11 @@ def cmd_evaluate(args):
     else:
         if not (args.checkpoint and args.corpus):
             raise ValueError("evaluate needs either --predictions or both --checkpoint and --corpus")
-        model = load_checkpoint(args.checkpoint)
+        checkpoint = load_checkpoint(args.checkpoint)
         corpus = load_corpus(args.corpus)
-        report = evaluate_model(model, corpus, maxfpr=args.maxfpr)
+        report = evaluate_model(
+            checkpoint.model, corpus, checkpoint.max_len, args.maxfpr, scale_by_alpha=checkpoint.scale_by_alpha
+        )
         config = {"checkpoint": str(args.checkpoint), "corpus": str(args.corpus), "maxfpr": args.maxfpr}
     out = _out_dir(args)
     _write_json(out / "report.json", report.to_dict())
@@ -245,9 +247,10 @@ def cmd_bias_report(args):
 
 
 def cmd_case_report(args):
-    model = load_checkpoint(args.checkpoint)
+    checkpoint = load_checkpoint(args.checkpoint)
     corpus = load_corpus(args.corpus)
-    rows = case_report(model, corpus, scale_by_alpha=args.scale_by_alpha)
+    scale_by_alpha = args.scale_by_alpha or checkpoint.scale_by_alpha
+    rows = case_report(checkpoint.model, corpus, checkpoint.max_len, scale_by_alpha)
     out = _out_dir(args)
     with (out / "cases.jsonl").open("w", encoding="utf-8") as fh:
         for row in rows:

@@ -99,6 +99,14 @@ class Corpus:
         return {"fake": fake, "real": len(self.pieces) - fake}
 
 
+def _strings(raw, key):
+    # one C-level pass over the list: no Python frame runs per item
+    value = raw[key]
+    if not isinstance(value, list) or not all(map(str.__instancecheck__, value)):
+        raise CorpusError(f"{key!r} must be a list of strings")
+    return tuple(value)
+
+
 def _piece_from_record(raw, lowercase):
     if not isinstance(raw, dict):
         raise CorpusError("record is not a JSON object")
@@ -106,10 +114,7 @@ def _piece_from_record(raw, lowercase):
         raise CorpusError("missing field 'id'")
     pid = str(raw["id"])
     if "tokens" in raw:
-        tokens = raw["tokens"]
-        if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
-            raise CorpusError("'tokens' must be a list of strings")
-        tokens = tuple(tokens)
+        tokens = _strings(raw, "tokens")
     elif "text" in raw:
         tokens = tokenize(str(raw["text"]), lowercase=lowercase)
     else:
@@ -117,12 +122,9 @@ def _piece_from_record(raw, lowercase):
     for key in ("label", "timestamp"):
         if key not in raw:
             raise CorpusError(f"missing field {key!r}")
-    entities = raw.get("entities")
-    if entities is None:
+    if raw.get("entities") is None:
         return NewsPiece(pid, tokens, (), raw["label"], raw["timestamp"], needs_recognition=True)
-    if not isinstance(entities, list) or not all(isinstance(e, str) for e in entities):
-        raise CorpusError("'entities' must be a list of strings")
-    return NewsPiece(pid, tokens, tuple(entities), raw["label"], raw["timestamp"])
+    return NewsPiece(pid, tokens, _strings(raw, "entities"), raw["label"], raw["timestamp"])
 
 
 def load_corpus(path, *, lowercase=False, name=None):

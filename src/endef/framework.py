@@ -11,11 +11,20 @@ import json
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .augmentation import recompute_entities
-from .models import MAX_SEQ_LEN, ModelError, ScalarModel, binary_cross_entropy, sigmoid
+from .models import (
+    CHECKPOINT_FORMAT,
+    CHECKPOINT_FORMATS,
+    MAX_SEQ_LEN,
+    ModelError,
+    ScalarModel,
+    binary_cross_entropy,
+    sigmoid,
+)
 
 DEFAULT_ALPHA = 0.8
 DEFAULT_BETA = 0.2
@@ -182,11 +191,19 @@ def case_report(model, corpus, max_len=MAX_SEQ_LEN, scale_by_alpha=False):
     return rows
 
 
-def save_checkpoint(model, path):
-    """Write a model (composite or single encoder) as self-describing JSON."""
+class Checkpoint(NamedTuple):
+    """A loaded checkpoint: the model and the settings its run scored with."""
+
+    model: object
+    max_len: int
+    scale_by_alpha: bool
+
+
+def save_checkpoint(model, path, max_len=MAX_SEQ_LEN, scale_by_alpha=False):
+    """Write a model (composite or single encoder) and its inference settings as self-describing JSON."""
     if isinstance(model, EndefModel):
         payload = {
-            "format_version": 1,
+            "format_version": CHECKPOINT_FORMAT,
             "kind": "endef_model",
             "alpha": model.alpha,
             "beta": model.beta,
@@ -197,22 +214,44 @@ def save_checkpoint(model, path):
         payload = model.to_payload()
     else:
         raise ModelError(f"cannot checkpoint object of type {type(model).__name__}")
+    payload["inference"] = {"max_len": int(max_len), "scale_by_alpha": bool(scale_by_alpha)}
     Path(path).write_text(json.dumps(payload, sort_keys=True) + "\n", encoding="utf-8")
 
 
+def _load_encoder(payload, name, reads="tokens"):
+    try:
+        return ScalarModel.from_payload(payload, reads)
+    except ModelError as exc:
+        raise ModelError(f"{name} encoder: {exc}") from None
+
+
 def load_checkpoint(path):
-    """Read a checkpoint written by save_checkpoint; dispatches on its kind field."""
+    """Read a checkpoint written by save_checkpoint; dispatches on its kind field.
+
+    A format 1 checkpoint records no inference settings; it loads with
+    max_len MAX_SEQ_LEN and scale_by_alpha off, the settings it was scored
+    with before format 2.
+    """
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     kind = payload.get("kind")
     if kind == "endef_model":
-        if payload.get("format_version") != 1:
+        if payload.get("format_version") not in CHECKPOINT_FORMATS:
             raise ModelError(f"unsupported checkpoint format_version {payload.get('format_version')!r}")
-        return EndefModel(
-            ScalarModel.from_payload(payload["entity_model"], reads="entities"),
-            ScalarModel.from_payload(payload["detector"]),
+        model = EndefModel(
+            _load_encoder(payload["entity_model"], "entity_model", reads="entities"),
+            _load_encoder(payload["detector"], "detector"),
             float(payload["alpha"]),
             float(payload["beta"]),
         )
-    if kind == "scalar_model":
-        return ScalarModel.from_payload(payload)
-    raise ModelError(f"unknown checkpoint kind {kind!r}")
+    elif kind == "scalar_model":
+        model = _load_encoder(payload, "scalar_model")
+    else:
+        raise ModelError(f"unknown checkpoint kind {kind!r}")
+    inference = payload.get("inference", {})
+    max_len = inference.get("max_len", MAX_SEQ_LEN)
+    scale_by_alpha = inference.get("scale_by_alpha", False)
+    if isinstance(max_len, bool) or not isinstance(max_len, int) or max_len < 1:
+        raise ModelError(f"checkpoint inference max_len must be a positive integer, got {max_len!r}")
+    if not isinstance(scale_by_alpha, bool):
+        raise ModelError(f"checkpoint inference scale_by_alpha must be true or false, got {scale_by_alpha!r}")
+    return Checkpoint(model, max_len, scale_by_alpha)

@@ -7,6 +7,7 @@ object maps named tensors into slices of it, which keeps finite-difference
 checks and optimizer state trivial.
 """
 
+import base64
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -21,6 +22,11 @@ MAX_SEQ_LEN = 170  # default truncation applied by callers before forward
 
 # what an encoder reads from a piece: its token stream, or its entity mentions
 INPUT_VIEWS = ("tokens", "entities")
+
+# checkpoint format 2 stores params as base64 of little-endian float64 bytes;
+# format 1 stored them as a JSON list of numbers and still loads
+CHECKPOINT_FORMAT = 2
+CHECKPOINT_FORMATS = (1, 2)
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -183,7 +189,7 @@ class ScalarModel:
             params = _init_params(self.layout, np.random.default_rng(seed))
         params = np.asarray(params, dtype=np.float64)
         if params.shape != (self.layout.size,):
-            raise ModelError(f"parameter vector must have length {self.layout.size}, got {params.shape}")
+            raise ModelError(f"'params' must hold {self.layout.size} values, got shape {params.shape}")
         self.params = params
 
     @property
@@ -305,12 +311,12 @@ class ScalarModel:
 
     def to_payload(self):
         return {
-            "format_version": 1,
+            "format_version": CHECKPOINT_FORMAT,
             "kind": "scalar_model",
             "reads": self.reads,
             "spec": self.spec.to_payload(),
             "vocab": self.vocab.to_payload(),
-            "params": self.params.tolist(),
+            "params": base64.b64encode(self.params.astype("<f8", copy=False).tobytes()).decode("ascii"),
         }
 
     @classmethod
@@ -318,16 +324,31 @@ class ScalarModel:
         """The encoder a payload describes; `reads` is the view of a payload that records none."""
         from .vocab import Vocabulary
 
-        if payload.get("format_version") != 1:
-            raise ModelError(f"unsupported checkpoint format_version {payload.get('format_version')!r}")
+        version = payload.get("format_version")
+        if version not in CHECKPOINT_FORMATS:
+            raise ModelError(f"unsupported checkpoint format_version {version!r}")
         if payload.get("kind") != "scalar_model":
             raise ModelError(f"expected a scalar_model payload, got {payload.get('kind')!r}")
+        params = payload["params"]
         return cls(
             EncoderSpec.from_payload(payload["spec"]),
             Vocabulary.from_payload(payload["vocab"]),
-            params=np.asarray(payload["params"], dtype=np.float64),
+            params=_decode_params(params) if version == 2 else np.asarray(params, dtype=np.float64),
             reads=payload.get("reads", reads),
         )
+
+
+def _decode_params(text):
+    """The writable native float64 vector that format 2 stores as base64 of little-endian bytes."""
+    if not isinstance(text, str):
+        raise ModelError(f"'params' must be a base64 string, got {type(text).__name__}")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII string
+        raise ModelError(f"'params' is not valid base64: {exc}") from None
+    if len(raw) % 8:
+        raise ModelError(f"'params' decodes to {len(raw)} bytes, not a whole number of float64 values")
+    return np.frombuffer(raw, dtype="<f8").astype(np.float64)
 
 
 @dataclass

@@ -2,6 +2,7 @@
 
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import accumulate, chain, compress
 from pathlib import Path
 
 from .corpus import Corpus
@@ -11,9 +12,9 @@ class GazetteerError(ValueError):
     """Invalid gazetteer contents or misuse of the recognizer."""
 
 
-def _surface_key(surface, fold):
-    # whitespace-normalized and, for a case-insensitive gazetteer, case-folded
-    return " ".join((surface.lower() if fold else surface).split())
+def _surface_words(surface, fold):
+    # whitespace-split and, for a case-insensitive gazetteer, case-folded
+    return (surface.lower() if fold else surface).split()
 
 
 @dataclass(frozen=True)
@@ -40,57 +41,78 @@ class Gazetteer:
         return cls(frozenset(entries), case_sensitive=case_sensitive)
 
     @cached_property
-    def _lookup(self):
-        # normalized surface -> canonical entry; on case-insensitive
+    def _table(self):
+        # normalized word tuple -> canonical entry; on case-insensitive
         # collisions the lexicographically smallest entry wins
         table = {}
         for e in sorted(self.entries):
-            table.setdefault(_surface_key(e, not self.case_sensitive), e)
+            table.setdefault(tuple(_surface_words(e, not self.case_sensitive)), e)
         return table
 
     @cached_property
+    def _starts(self):
+        return frozenset(key[0] for key in self._table)
+
+    @cached_property
     def max_tokens(self):
-        return max(len(e.split()) for e in self.entries) if self.entries else 0
+        return max(map(len, self._table), default=0)
 
     def __len__(self):
         return len(self.entries)
 
 
-def longest_matches(items, max_span, table, key):
-    """Longest-match-leftmost scan of a sequence against a lookup table.
+def longest_matches(words, bounds, max_span, table, starts):
+    """Longest-match-leftmost scan of items against a table keyed by word tuples.
 
-    The span items[start:end] matches when `table` holds key(items[start:end]).
-    At each position the longest matching span of at most max_span items
-    wins and scanning resumes after it, so shorter matches overlapping a
-    taken span are suppressed. Returns [(start, end, table value), ...].
+    Item k holds words[bounds[k]:bounds[k + 1]]: one word each when bounds is
+    range(len(words) + 1), several or none otherwise. A span of items matches
+    when `table` holds its words as a tuple; at each position the longest
+    matching span of at most max_span items wins and scanning resumes after
+    it. Only positions whose first word, words[bounds[start]], is in `starts`
+    (the first words of the keys) are probed. Returns [(start, end, value), ...].
     """
     found = []
-    i, n = 0, len(items)
-    while i < n:
+    n = len(bounds) - 1
+    resume = 0
+    # flags[j]: word j can start a key; the trailing False stands for the
+    # end of the words, where only empty items begin
+    flags = [*map(starts.__contains__, words), False]
+    for i in compress(range(n), map(flags.__getitem__, bounds)):
+        if i < resume:
+            continue
+        first = bounds[i]
         for end in range(min(i + max_span, n), i, -1):
-            value = table.get(key(items[i:end]))
+            value = table.get(words[first : bounds[end]])
             if value is not None:
                 found.append((i, end, value))
-                i = end
+                resume = end
                 break
-        else:
-            i += 1
     return found
 
 
 def recognize(tokens, gazetteer, *, dedupe=False):
     """All maximal gazetteer matches in `tokens`, scanning left to right.
 
-    A span matches when its whitespace-normalized surface (case-folded for a
-    case-insensitive gazetteer) is an entry. Duplicate mentions are kept in
-    occurrence order unless `dedupe` is set.
+    A span matches when its whitespace-split words (case-folded for a
+    case-insensitive gazetteer) are the words of an entry, so a token may
+    hold several words or none. Duplicate mentions are kept in occurrence
+    order unless `dedupe` is set.
     """
     if len(gazetteer) == 0:
         raise GazetteerError("recognition needs a non-empty gazetteer")
     fold = not gazetteer.case_sensitive
-    spans = longest_matches(
-        tuple(tokens), gazetteer.max_tokens, gazetteer._lookup, lambda span: _surface_key(" ".join(span), fold)
-    )
+    tokens = tuple(tokens)
+    joined = "".join(tokens)
+    if all(tokens) and joined.split() == [joined]:
+        # every token is one word; folding a token alone folds it as the
+        # joined span does, because a space bounds every case mapping's context
+        words = tuple(map(str.lower, tokens)) if fold else tokens
+        bounds = range(len(tokens) + 1)
+    else:
+        per_token = [_surface_words(t, fold) for t in tokens]
+        words = tuple(chain.from_iterable(per_token))
+        bounds = [0, *accumulate(map(len, per_token))]
+    spans = longest_matches(words, bounds, gazetteer.max_tokens, gazetteer._table, gazetteer._starts)
     found = [e for _, _, e in spans]
     if dedupe:
         found = list(dict.fromkeys(found))

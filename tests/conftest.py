@@ -72,6 +72,22 @@ def relu_safety_margin(model, ids):
     return min(margins)
 
 
+def reference_longest_matches(items, max_span, table, key):
+    """The longest-match-leftmost scan before the word-tuple scanner: every position probed, one key call per probe."""
+    found = []
+    i, n = 0, len(items)
+    while i < n:
+        for end in range(min(i + max_span, n), i, -1):
+            value = table.get(key(items[i:end]))
+            if value is not None:
+                found.append((i, end, value))
+                i = end
+                break
+        else:
+            i += 1
+    return found
+
+
 def make_piece(pid, tokens, entities=(), label=0, timestamp=0):
     return NewsPiece(pid, tuple(tokens), tuple(entities), label, timestamp)
 

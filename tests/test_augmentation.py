@@ -12,10 +12,9 @@ from endef.augmentation import (
     recompute_entities,
 )
 from endef.corpus import contains_subsequence
-from endef.recognizer import longest_matches
 from endef.training import AugmentSettings, TrainingError
 
-from conftest import make_piece
+from conftest import make_piece, reference_longest_matches
 
 
 def only(kind, action, probability):
@@ -156,15 +155,20 @@ def test_kind_action_restriction(rng):
         assert drawn_kind_action(out)[1] == "mask"
 
 
+def reference_matches(tokens, entity_strings):
+    """(start, end, entity) of each exact token-tuple match, found by the scan that probes every position."""
+    forms = {}
+    for e in entity_strings:
+        if e.split():
+            forms.setdefault(tuple(e.split()), e)
+    return reference_longest_matches(tuple(tokens), max(map(len, forms)), forms, tuple) if forms else []
+
+
 def reference_recompute_entities(piece, new_tokens):
     """Entity recount before it read the external partition from the piece."""
     in_text = {e for e in piece.entities if contains_subsequence(piece.tokens, e.split())}
     external = tuple(e for e in piece.entities if e not in in_text)
-    forms = {}
-    for e in in_text:
-        forms.setdefault(tuple(e.split()), e)
-    matched = longest_matches(tuple(new_tokens), max(map(len, forms)), forms, tuple) if forms else []
-    return tuple(e for _, _, e in matched) + external
+    return tuple(e for _, _, e in reference_matches(new_tokens, in_text)) + external
 
 
 def reference_augment(piece, settings, rng, seen):
@@ -185,7 +189,7 @@ def reference_augment(piece, settings, rng, seen):
         selected = {i for i in range(len(tokens)) if rng.random() < p}
     else:
         selected = set()
-        for a, b in entity_spans(tokens, set(piece.entities)):
+        for a, b, _ in reference_matches(tokens, set(piece.entities)):
             if rng.random() < p:
                 selected.update(range(a, b))
     if not selected:

@@ -1,10 +1,17 @@
+import base64
 import json
+import re
 
 import pytest
 
 from endef.cli import main
-from endef.corpus import entity_bias_table, export_bias_table, load_corpus
+from endef.corpus import Corpus, entity_bias_table, export_bias_table, load_corpus, save_corpus
+from endef.framework import case_report, load_checkpoint, make_endef_model, save_checkpoint
+from endef.models import BAG_OF_EMBEDDINGS, EncoderSpec, ModelError
 from endef.synthetic import BiasSpec, generate
+from endef.vocab import SPECIAL_TOKENS, Vocabulary
+
+from conftest import make_piece
 
 
 def bias_spec_payload(**overrides):
@@ -238,6 +245,82 @@ def test_train_baseline_and_entity_only_modes(spec_file, tmp_path, capsys):
         ) == 0
         capsys.readouterr()
         assert (eval_dir / "report.json").read_bytes() == (run_dir / "report.json").read_bytes()
+
+
+def test_evaluate_and_case_report_score_with_the_checkpoint_settings(spec_file, tmp_path, capsys):
+    split_dir = prepare_split_dir(tmp_path, spec_file)
+    config = _write_config(tmp_path / "config.json")
+    payload = json.loads(config.read_text(encoding="utf-8"))
+    payload["inference"] = {"scale_by_alpha": True}
+    config.write_text(json.dumps(payload), encoding="utf-8")
+    test_part = split_dir / "test.jsonl"
+    for mode in ("endef", "baseline", "entity-only"):
+        run_dir = tmp_path / f"run-{mode}"
+        assert run_cli(
+            "train",
+            "--train", split_dir / "train.jsonl",
+            "--val", split_dir / "val.jsonl",
+            "--test", test_part,
+            "--config", config,
+            "--mode", mode,
+            "--max-len", 5,
+            "--out-dir", run_dir,
+        ) == 0
+        capsys.readouterr()
+        checkpoint = json.loads((run_dir / "checkpoint.json").read_text())
+        assert checkpoint["inference"] == {"max_len": 5, "scale_by_alpha": True}
+        # documents run 8-14 tokens, so scoring at the default max_len would give another report
+        eval_dir = tmp_path / f"eval-{mode}"
+        assert run_cli(
+            "evaluate", "--checkpoint", run_dir / "checkpoint.json", "--corpus", test_part, "--out-dir", eval_dir
+        ) == 0
+        capsys.readouterr()
+        assert (eval_dir / "report.json").read_bytes() == (run_dir / "report.json").read_bytes()
+    # case-report takes max_len and alpha scaling from the checkpoint too
+    run_dir = tmp_path / "run-endef"
+    case_dir = tmp_path / "cases"
+    assert run_cli(
+        "case-report", "--checkpoint", run_dir / "checkpoint.json", "--corpus", test_part, "--out-dir", case_dir
+    ) == 0
+    capsys.readouterr()
+    rows = [json.loads(line) for line in (case_dir / "cases.jsonl").read_text().splitlines()]
+    model = load_checkpoint(run_dir / "checkpoint.json").model
+    assert rows == case_report(model, load_corpus(test_part), 5, scale_by_alpha=True)
+
+
+def test_malformed_checkpoint_fails_at_the_boundary(tmp_path, capsys):
+    spec = EncoderSpec(BAG_OF_EMBEDDINGS, embed_dim=2, hidden_dim=3)
+    model = make_endef_model(spec, spec, Vocabulary(SPECIAL_TOKENS + ("a", "b")))
+    good = tmp_path / "good.json"
+    save_checkpoint(model, good)
+    corpus = tmp_path / "corpus.jsonl"
+    save_corpus(Corpus((make_piece("p0", ("a", "b"), ("a",), 1, 0),)), corpus)
+    n = model.detector.num_params
+    one_short = base64.b64encode(bytes(8 * (n - 1))).decode()
+    cases = (
+        (("detector", "params"), [0.0] * n, "detector encoder: 'params' must be a base64 string"),
+        (("entity_model", "params"), 17, "entity_model encoder: 'params' must be a base64 string"),
+        (("detector", "params"), "not*base64", "detector encoder: 'params' is not valid base64"),
+        (("detector", "params"), "AAAA", "detector encoder: 'params' decodes to 3 bytes"),
+        (("detector", "params"), one_short, f"detector encoder: 'params' must hold {n} values"),
+        (("format_version",), 3, "unsupported checkpoint format_version 3"),
+        (("inference", "max_len"), "5", "checkpoint inference max_len must be a positive integer"),
+        (("inference", "scale_by_alpha"), "yes", "checkpoint inference scale_by_alpha must be true or false"),
+    )
+    for i, ((*parents, field), value, message) in enumerate(cases):
+        payload = json.loads(good.read_text(encoding="utf-8"))
+        target = payload
+        for key in parents:
+            target = target[key]
+        target[field] = value
+        path = tmp_path / f"bad-{i}.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ModelError, match=re.escape(message)):
+            load_checkpoint(path)
+        out_dir = tmp_path / f"eval-{i}"
+        assert run_cli("evaluate", "--checkpoint", path, "--corpus", corpus, "--out-dir", out_dir) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
 
 
 def test_train_rejects_runs_below_one(spec_file, tmp_path, capsys):

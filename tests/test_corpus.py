@@ -55,6 +55,20 @@ def test_load_bad_label_cites_line_number(tmp_path):
         load_corpus(path)
 
 
+def test_load_non_string_list_item_cites_line_number(tmp_path):
+    path = tmp_path / "c.jsonl"
+    for field in ("tokens", "entities"):
+        for bad in (7, None, ["a"]):
+            for where in (0, 1, 2):
+                records = [record(i) for i in range(4)]
+                items = ["a", "b", "e1"]
+                items[where] = bad
+                records[2][field] = items  # line 3
+                write_jsonl(path, records)
+                with pytest.raises(CorpusError, match=f"line 3: '{field}' must be a list of strings"):
+                    load_corpus(path)
+
+
 def test_load_invalid_json_cites_line_number(tmp_path):
     path = tmp_path / "c.jsonl"
     path.write_text(json.dumps(record(0)) + "\n" + "{not json\n", encoding="utf-8")

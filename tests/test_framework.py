@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from endef.framework import (
     EndefModel,
+    branches,
     case_report,
     input_ids,
     load_checkpoint,
@@ -17,7 +18,15 @@ from endef.framework import (
     save_checkpoint,
     score,
 )
-from endef.models import BAG_OF_EMBEDDINGS, CONV_NGRAM, ModelError, ScalarModel, binary_cross_entropy, sigmoid
+from endef.models import (
+    BAG_OF_EMBEDDINGS,
+    CONV_NGRAM,
+    MAX_SEQ_LEN,
+    ModelError,
+    ScalarModel,
+    binary_cross_entropy,
+    sigmoid,
+)
 from endef.training import evaluate_model
 
 from conftest import (
@@ -308,7 +317,9 @@ def test_checkpoint_round_trip(tmp_path):
     model = small_model(seed=31, det_kind=CONV_NGRAM)
     path = tmp_path / "model.json"
     save_checkpoint(model, path)
-    loaded = load_checkpoint(path)
+    checkpoint = load_checkpoint(path)
+    assert (checkpoint.max_len, checkpoint.scale_by_alpha) == (MAX_SEQ_LEN, False)
+    loaded = checkpoint.model
     assert isinstance(loaded, EndefModel)
     assert loaded.alpha == model.alpha and loaded.beta == model.beta
     assert np.array_equal(loaded.detector.params, model.detector.params)
@@ -323,11 +334,65 @@ def test_checkpoint_round_trip(tmp_path):
     payload = json.loads(path.read_text(encoding="utf-8"))
     del payload["detector"]["reads"], payload["entity_model"]["reads"]
     path.write_text(json.dumps(payload), encoding="utf-8")
-    assert case_report(load_checkpoint(path), pieces) == rows
+    assert case_report(load_checkpoint(path).model, pieces) == rows
 
     for reads in ("tokens", "entities"):
         scalar = ScalarModel(tiny_spec(BAG_OF_EMBEDDINGS), tiny_vocab(), seed=3, reads=reads)
         save_checkpoint(scalar, path)
-        again = load_checkpoint(path)
+        again = load_checkpoint(path).model
         assert np.array_equal(again.params, scalar.params)
         assert again.reads == reads
+
+
+def test_checkpoint_params_round_trip_bit_for_bit_and_writable(tmp_path):
+    path = tmp_path / "model.json"
+    models = [
+        ScalarModel(tiny_spec(kind), tiny_vocab(), seed=7, reads=reads)
+        for kind in (BAG_OF_EMBEDDINGS, CONV_NGRAM)
+        for reads in ("tokens", "entities")
+    ]
+    models.append(small_model(seed=8, det_kind=CONV_NGRAM, ent_kind=BAG_OF_EMBEDDINGS))
+    for model in models:
+        save_checkpoint(model, path, max_len=7, scale_by_alpha=True)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        assert payload["format_version"] == 2
+        assert payload["inference"] == {"max_len": 7, "scale_by_alpha": True}
+        checkpoint = load_checkpoint(path)
+        assert (checkpoint.max_len, checkpoint.scale_by_alpha) == (7, True)
+        for name, encoder in branches(checkpoint.model).items():
+            original = branches(model)[name]
+            assert encoder.reads == original.reads
+            assert encoder.params.tobytes() == original.params.tobytes()
+            assert encoder.params.dtype == np.float64 and encoder.params.dtype.isnative
+            assert encoder.params.flags.writeable
+            encoder.params[0] += 1.0
+
+
+def test_format_1_checkpoint_loads_with_documented_defaults(tmp_path):
+    model = small_model(seed=9, det_kind=CONV_NGRAM)
+
+    def v1_encoder(encoder):
+        # format 1 as first written: JSON-list params and no recorded view
+        return {
+            "format_version": 1,
+            "kind": "scalar_model",
+            "spec": encoder.spec.to_payload(),
+            "vocab": encoder.vocab.to_payload(),
+            "params": encoder.params.tolist(),
+        }
+
+    payload = {
+        "format_version": 1,
+        "kind": "endef_model",
+        "alpha": model.alpha,
+        "beta": model.beta,
+        "detector": v1_encoder(model.detector),
+        "entity_model": v1_encoder(model.entity_model),
+    }
+    path = tmp_path / "v1.json"
+    path.write_text(json.dumps(payload, sort_keys=True) + "\n", encoding="utf-8")
+    checkpoint = load_checkpoint(path)
+    assert (checkpoint.max_len, checkpoint.scale_by_alpha) == (MAX_SEQ_LEN, False)
+    pieces = sample_batch()
+    assert case_report(checkpoint.model, pieces) == case_report(model, pieces)
+    assert case_report(checkpoint.model, pieces, 2, True) == case_report(model, pieces, 2, True)

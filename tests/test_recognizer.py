@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 from endef.corpus import Corpus, NewsPiece
 from endef.recognizer import Gazetteer, GazetteerError, recognize, recognize_corpus
 
+from conftest import reference_longest_matches
+
 
 def test_direct_hits():
     gaz = Gazetteer(frozenset({"Donald Trump", "Beijing"}))
@@ -95,6 +97,42 @@ def test_recognize_matches_brute_force_oracle(data):
     got = recognize(tokens, gaz)
     assert got == brute_force_matches(tokens, entries)
     assert all(e in gaz.entries for e in got)
+
+
+def reference_recognize(tokens, gazetteer, *, dedupe=False):
+    """The string-keyed scan the word-tuple table replaced: every position probed, one joined surface key per probe."""
+    fold = not gazetteer.case_sensitive
+
+    def surface_key(surface):
+        return " ".join((surface.lower() if fold else surface).split())
+
+    lookup = {}
+    for e in sorted(gazetteer.entries):
+        lookup.setdefault(surface_key(e), e)
+    max_span = max(len(e.split()) for e in gazetteer.entries)
+    spans = reference_longest_matches(tuple(tokens), max_span, lookup, lambda span: surface_key(" ".join(span)))
+    found = [e for _, _, e in spans]
+    if dedupe:
+        found = list(dict.fromkeys(found))
+    return tuple(found)
+
+
+# tokens holding several words or none, case variants, and a capital sigma,
+# whose lower case depends on the letters around it
+ODD_TOKENS = ("a", "b", "c", "A", "B", "a b", " a", "b\t", " ", "", "\t \n", "a  c", "ΟΣ", "Σ", "ος")
+ODD_ENTRIES = ("a", "A", "b", "a b", "A  B", " a b ", "b a", "a b c", "c", "B c", "ος", "ΟΣ b", "σ", "a ος")
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    tokens=st.lists(st.sampled_from(ODD_TOKENS), max_size=12),
+    entries=st.sets(st.sampled_from(ODD_ENTRIES), min_size=1, max_size=7),
+    case_sensitive=st.booleans(),
+    dedupe=st.booleans(),
+)
+def test_recognize_matches_string_keyed_reference(tokens, entries, case_sensitive, dedupe):
+    gaz = Gazetteer(frozenset(entries), case_sensitive=case_sensitive)
+    assert recognize(tokens, gaz, dedupe=dedupe) == reference_recognize(tokens, gaz, dedupe=dedupe)
 
 
 def test_recognize_corpus_fills_entities():
