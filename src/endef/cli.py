@@ -10,19 +10,20 @@ import argparse
 import json
 import platform
 import sys
-from dataclasses import replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .corpus import SplitResult, entity_bias_table, export_bias_table, load_corpus, save_corpus, temporal_split
-from .framework import case_report, load_checkpoint, make_endef_model, save_checkpoint
+from .framework import case_report, default_entity_spec, load_checkpoint, make_endef_model, save_checkpoint
 from .metrics import PredictionSet, aggregate_reports, evaluate, format_aggregate_table
 from .models import BAG_OF_EMBEDDINGS, EncoderSpec, ScalarModel
+from .payload import from_fields
 from .recognizer import Gazetteer, recognize_corpus
 from .synthetic import BiasSpec, generate
-from .training import TrainConfig, evaluate_model, grid_search_alpha, train
+from .training import TrainConfig, TrainingError, evaluate_model, grid_search_alpha, train
 from .vocab import build_vocabulary
 
 
@@ -52,56 +53,50 @@ def _out_dir(args):
     return out
 
 
-def _load_config_file(path):
-    if path is None:
-        return {}
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+@dataclass(frozen=True)
+class InferenceSection:
+    """How `train` scores its test part; the checkpoint records it for `evaluate` and `case-report`."""
+
+    scale_by_alpha: bool = False
+
+
+@dataclass(frozen=True)
+class TrainSetup:
+    """A `--config` file: every section may be left out, and every field given is checked."""
+
+    train: TrainConfig = field(default_factory=TrainConfig)
+    detector: EncoderSpec = field(default_factory=lambda: EncoderSpec(kind=BAG_OF_EMBEDDINGS))
+    entity_model: EncoderSpec = field(default_factory=default_entity_spec)
+    inference: InferenceSection = field(default_factory=InferenceSection)
 
 
 _TRAIN_OVERRIDES = ("lr", "batch_size", "max_epochs", "patience", "seed", "alpha", "beta", "max_len")
 
 
 def _resolve_train_setup(args):
-    """Precedence: CLI flag > config file > defaults."""
-    config = _load_config_file(getattr(args, "config", None))
-    train_section = dict(config.get("train", {}))
-    for key in _TRAIN_OVERRIDES:
-        value = getattr(args, key, None)
-        if value is not None:
-            train_section[key] = value
+    """Precedence: CLI flag > config file > defaults; the file is checked as written, before any flag applies."""
+    setup = TrainSetup()
+    if args.config is not None:
+        setup = from_fields(TrainSetup, json.loads(Path(args.config).read_text(encoding="utf-8")), "config", TrainingError)
+    overrides = {key: getattr(args, key) for key in _TRAIN_OVERRIDES if getattr(args, key, None) is not None}
+    augment = {}
     if getattr(args, "augment_p", None) is not None:
-        train_section.setdefault("augment", {})
-        train_section["augment"] = dict(train_section["augment"])
-        train_section["augment"]["probability"] = args.augment_p
+        augment["probability"] = args.augment_p
     if getattr(args, "no_augment", False):
-        train_section["augment"] = dict(train_section.get("augment", {}))
-        train_section["augment"]["enabled"] = False
-    cfg = TrainConfig.from_dict(train_section)
-    detector_spec = EncoderSpec.from_payload(config.get("detector", {"kind": BAG_OF_EMBEDDINGS}))
-    entity_spec = EncoderSpec.from_payload(
-        config.get("entity_model", {"kind": BAG_OF_EMBEDDINGS, "embed_dim": 16, "hidden_dim": 32})
-    )
-    inference = dict(config.get("inference", {}))
-    scale_by_alpha = bool(inference.get("scale_by_alpha", False))
-    resolved = {
-        "train": cfg.to_dict(),
-        "detector": detector_spec.to_payload(),
-        "entity_model": entity_spec.to_payload(),
-        "inference": {"scale_by_alpha": scale_by_alpha},
-    }
-    return cfg, detector_spec, entity_spec, scale_by_alpha, resolved
+        augment["enabled"] = False
+    return replace(setup, train=replace(setup.train, **overrides, augment=replace(setup.train.augment, **augment)))
 
 
 def cmd_synthesize(args):
     spec = BiasSpec.from_file(args.spec)
     if args.seed is not None:
-        spec = BiasSpec.from_payload({**spec.to_payload(), "seed": args.seed})
+        spec = replace(spec, seed=args.seed)
     out = _out_dir(args)
     corpus, ledger = generate(spec)
     save_corpus(corpus, out / "corpus.jsonl")
     export_bias_table(ledger, out / "ledger.tsv")
-    _write_json(out / "bias_spec.json", spec.to_payload())
-    _write_provenance(out, "synthesize", spec.to_payload(), spec.seed)
+    _write_json(out / "bias_spec.json", asdict(spec))
+    _write_provenance(out, "synthesize", asdict(spec), spec.seed)
     print(f"wrote {len(corpus)} pieces to {out / 'corpus.jsonl'}")
     return 0
 
@@ -142,60 +137,54 @@ def _write_history(path, history):
             fh.write(json.dumps(row, sort_keys=True) + "\n")
 
 
-def _build_model(mode, cfg, detector_spec, entity_spec, vocab):
+def _build_model(mode, cfg, setup, vocab):
     """The untrained model of a training mode."""
     if mode == "endef":
-        return make_endef_model(detector_spec, entity_spec, vocab, seed=cfg.seed, alpha=cfg.alpha, beta=cfg.beta)
+        return make_endef_model(setup.detector, setup.entity_model, vocab, seed=cfg.seed, alpha=cfg.alpha, beta=cfg.beta)
     if mode == "baseline":
-        return ScalarModel(detector_spec, vocab, seed=cfg.seed)
+        return ScalarModel(setup.detector, vocab, seed=cfg.seed)
     if mode == "entity-only":
-        return ScalarModel(entity_spec, vocab, seed=cfg.seed, reads="entities")
+        return ScalarModel(setup.entity_model, vocab, seed=cfg.seed, reads="entities")
     raise ValueError(f"unknown training mode {mode!r}")
 
 
-def _train_single(mode, split, evaluate_test, cfg, detector_spec, entity_spec, out, scale_by_alpha):
+def _train_single(mode, split, evaluate_test, cfg, setup, out):
+    """Train one seeded run into `out`; its test report, or None without a test part."""
+    out.mkdir(parents=True, exist_ok=True)
+    scale_by_alpha = setup.inference.scale_by_alpha
     vocab = build_vocabulary(split.train, cfg.min_token_freq)
-    result = train(_build_model(mode, cfg, detector_spec, entity_spec, vocab), split, cfg)
+    result = train(_build_model(mode, cfg, setup, vocab), split, cfg)
     save_checkpoint(result.model, out / "checkpoint.json", cfg.max_len, scale_by_alpha)
     _write_history(out / "history.jsonl", result.history)
-    report = None
-    if evaluate_test:
-        report = evaluate_model(result.model, split.test, cfg.max_len, scale_by_alpha=scale_by_alpha)
-        _write_json(out / "report.json", report.to_dict())
-        (out / "report.txt").write_text(report.format_table() + "\n", encoding="utf-8")
-    return result, report
+    if not evaluate_test:
+        return None
+    report = evaluate_model(result.model, split.test, cfg.max_len, scale_by_alpha=scale_by_alpha)
+    _write_json(out / "report.json", report.to_dict())
+    (out / "report.txt").write_text(report.format_table() + "\n", encoding="utf-8")
+    return report
 
 
 def cmd_train(args):
     if args.runs < 1:
         raise ValueError(f"--runs must be at least 1, got {args.runs}")
-    cfg, detector_spec, entity_spec, scale_by_alpha, resolved = _resolve_train_setup(args)
+    setup = _resolve_train_setup(args)
+    cfg = setup.train
     parts = [load_corpus(args.train), load_corpus(args.val)]
     if args.test:
         parts.append(load_corpus(args.test))
     split = SplitResult(*parts)
-    evaluate_test = bool(args.test)
     out = _out_dir(args)
-    if args.runs == 1:
-        result, report = _train_single(args.mode, split, evaluate_test, cfg, detector_spec, entity_spec, out, scale_by_alpha)
-        if report is not None:
-            print(report.format_table())
-    else:
-        reports = []
-        for r in range(args.runs):
-            run_cfg = replace(cfg, seed=cfg.seed + r)
-            run_dir = out / f"run-{r:02d}"
-            run_dir.mkdir(parents=True, exist_ok=True)
-            _, report = _train_single(
-                args.mode, split, evaluate_test, run_cfg, detector_spec, entity_spec, run_dir, scale_by_alpha
-            )
-            if report is not None:
-                reports.append(report)
-        if reports:
-            agg = aggregate_reports(reports)
-            _write_json(out / "aggregate.json", agg)
-            print(format_aggregate_table(agg))
-    _write_provenance(out, "train", {**resolved, "mode": args.mode, "runs": args.runs}, cfg.seed)
+    reports = []
+    for r in range(args.runs):
+        run_dir = out if args.runs == 1 else out / f"run-{r:02d}"
+        reports.append(_train_single(args.mode, split, bool(args.test), replace(cfg, seed=cfg.seed + r), setup, run_dir))
+    if args.test and args.runs == 1:
+        print(reports[0].format_table())
+    elif args.test:
+        agg = aggregate_reports(reports)
+        _write_json(out / "aggregate.json", agg)
+        print(format_aggregate_table(agg))
+    _write_provenance(out, "train", {**asdict(setup), "mode": args.mode, "runs": args.runs}, cfg.seed)
     return 0
 
 
@@ -262,16 +251,16 @@ def cmd_case_report(args):
 
 
 def cmd_grid_alpha(args):
-    cfg, detector_spec, entity_spec, _, resolved = _resolve_train_setup(args)
+    setup = _resolve_train_setup(args)
     split = SplitResult(load_corpus(args.train), load_corpus(args.val))
-    best_alpha, rows = grid_search_alpha(split, cfg, detector_spec, entity_spec)
+    best_alpha, rows = grid_search_alpha(split, setup.train, setup.detector, setup.entity_model)
     out = _out_dir(args)
     with (out / "alpha_grid.tsv").open("w", encoding="utf-8") as fh:
         fh.write("alpha\tval_macf1\tbest_epoch\n")
         for row in rows:
             fh.write(f"{row['alpha']:.1f}\t{row['val_macf1']:.6f}\t{row['best_epoch']}\n")
     _write_json(out / "best_alpha.json", {"alpha": best_alpha})
-    _write_provenance(out, "grid-alpha", resolved, cfg.seed)
+    _write_provenance(out, "grid-alpha", asdict(setup), setup.train.seed)
     print(f"best alpha: {best_alpha:.1f}")
     return 0
 

@@ -10,7 +10,8 @@ accuracy, below-chance test AUC).
 from dataclasses import dataclass, replace
 
 from .corpus import temporal_split
-from .framework import make_endef_model
+# default_entity_spec lives with the model it builds; the scripts and the benchmark import it from here
+from .framework import default_entity_spec, make_endef_model
 from .metrics import aggregate_reports
 from .models import BAG_OF_EMBEDDINGS, EncoderSpec, ScalarModel
 from .synthetic import BiasSpec, generate
@@ -53,10 +54,6 @@ def unbiased_spec(seed=7, n_train=1600, n_val=320, n_test=320):
 
 def default_detector_spec():
     return EncoderSpec(kind=BAG_OF_EMBEDDINGS, embed_dim=32, hidden_dim=64)
-
-
-def default_entity_spec():
-    return EncoderSpec(kind=BAG_OF_EMBEDDINGS, embed_dim=16, hidden_dim=32)
 
 
 def default_train_config(seed=0):

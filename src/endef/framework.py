@@ -17,14 +17,17 @@ import numpy as np
 
 from .augmentation import recompute_entities
 from .models import (
+    BAG_OF_EMBEDDINGS,
     CHECKPOINT_FORMAT,
     CHECKPOINT_FORMATS,
     MAX_SEQ_LEN,
+    EncoderSpec,
     ModelError,
     ScalarModel,
     binary_cross_entropy,
     sigmoid,
 )
+from .payload import require
 
 DEFAULT_ALPHA = 0.8
 DEFAULT_BETA = 0.2
@@ -56,6 +59,11 @@ class EndefModel:
     @property
     def vocab(self):
         return self.detector.vocab
+
+
+def default_entity_spec():
+    """The entity branch when a run sets none: smaller than a detector, as it reads only entity mentions."""
+    return EncoderSpec(kind=BAG_OF_EMBEDDINGS, embed_dim=16, hidden_dim=32)
 
 
 def make_endef_model(detector_spec, entity_spec, vocab, *, seed=0, alpha=DEFAULT_ALPHA, beta=DEFAULT_BETA):
@@ -233,21 +241,25 @@ def load_checkpoint(path):
     with before format 2.
     """
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    kind = payload.get("kind")
+    (kind,) = require(payload, ("kind",), "checkpoint", ModelError)
     if kind == "endef_model":
         if payload.get("format_version") not in CHECKPOINT_FORMATS:
             raise ModelError(f"unsupported checkpoint format_version {payload.get('format_version')!r}")
+        entity, detector, alpha, beta = require(
+            payload, ("entity_model", "detector", "alpha", "beta"), "checkpoint", ModelError
+        )
         model = EndefModel(
-            _load_encoder(payload["entity_model"], "entity_model", reads="entities"),
-            _load_encoder(payload["detector"], "detector"),
-            float(payload["alpha"]),
-            float(payload["beta"]),
+            _load_encoder(entity, "entity_model", reads="entities"),
+            _load_encoder(detector, "detector"),
+            float(alpha),
+            float(beta),
         )
     elif kind == "scalar_model":
         model = _load_encoder(payload, "scalar_model")
     else:
         raise ModelError(f"unknown checkpoint kind {kind!r}")
     inference = payload.get("inference", {})
+    require(inference, (), "checkpoint inference", ModelError)
     max_len = inference.get("max_len", MAX_SEQ_LEN)
     scale_by_alpha = inference.get("scale_by_alpha", False)
     if isinstance(max_len, bool) or not isinstance(max_len, int) or max_len < 1:

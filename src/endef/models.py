@@ -9,10 +9,12 @@ checks and optimizer state trivial.
 
 import base64
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
+
+from .payload import from_fields, require
 
 BAG_OF_EMBEDDINGS = "bag_of_embeddings_mlp"
 CONV_NGRAM = "conv_ngram"
@@ -84,27 +86,6 @@ class EncoderSpec:
                 raise ModelError("window sizes must be distinct")
             if self.n_filters < 1:
                 raise ModelError("n_filters must be positive")
-
-    def to_payload(self):
-        return {
-            "kind": self.kind,
-            "embed_dim": self.embed_dim,
-            "hidden_dim": self.hidden_dim,
-            "window_sizes": list(self.window_sizes),
-            "n_filters": self.n_filters,
-            "activation": self.activation,
-        }
-
-    @classmethod
-    def from_payload(cls, payload):
-        return cls(
-            kind=payload["kind"],
-            embed_dim=int(payload.get("embed_dim", 64)),
-            hidden_dim=int(payload.get("hidden_dim", 384)),
-            window_sizes=tuple(payload.get("window_sizes", (1, 2, 3, 5, 10))),
-            n_filters=int(payload.get("n_filters", 16)),
-            activation=payload.get("activation", "relu"),
-        )
 
 
 class ParamLayout:
@@ -314,8 +295,9 @@ class ScalarModel:
             "format_version": CHECKPOINT_FORMAT,
             "kind": "scalar_model",
             "reads": self.reads,
-            "spec": self.spec.to_payload(),
-            "vocab": self.vocab.to_payload(),
+            "spec": asdict(self.spec),
+            # not asdict: it would deep-copy every token string of a large vocabulary
+            "vocab": {"tokens": self.vocab.tokens},
             "params": base64.b64encode(self.params.astype("<f8", copy=False).tobytes()).decode("ascii"),
         }
 
@@ -324,15 +306,15 @@ class ScalarModel:
         """The encoder a payload describes; `reads` is the view of a payload that records none."""
         from .vocab import Vocabulary
 
+        spec, vocab, params = require(payload, ("spec", "vocab", "params"), "scalar_model", ModelError)
         version = payload.get("format_version")
         if version not in CHECKPOINT_FORMATS:
             raise ModelError(f"unsupported checkpoint format_version {version!r}")
         if payload.get("kind") != "scalar_model":
             raise ModelError(f"expected a scalar_model payload, got {payload.get('kind')!r}")
-        params = payload["params"]
         return cls(
-            EncoderSpec.from_payload(payload["spec"]),
-            Vocabulary.from_payload(payload["vocab"]),
+            from_fields(EncoderSpec, spec, "spec", ModelError),
+            from_fields(Vocabulary, vocab, "vocab", ModelError),
             params=_decode_params(params) if version == 2 else np.asarray(params, dtype=np.float64),
             reads=payload.get("reads", reads),
         )

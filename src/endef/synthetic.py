@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import Corpus, EntityBiasRow, NewsPiece
+from .payload import from_fields
 
 
 class SyntheticSpecError(ValueError):
@@ -85,34 +86,9 @@ class BiasSpec:
     def entity_names(self):
         return tuple(f"ent_{i:02d}" for i in range(self.n_entities))
 
-    def to_payload(self):
-        return {
-            "n_entities": self.n_entities,
-            "vocab_size": self.vocab_size,
-            "n_train": self.n_train,
-            "n_val": self.n_val,
-            "n_test": self.n_test,
-            "train_corr": list(self.train_corr),
-            "test_corr": list(self.test_corr),
-            "content_signal_strength": self.content_signal_strength,
-            "min_tokens": self.min_tokens,
-            "max_tokens": self.max_tokens,
-            "max_entities_per_piece": self.max_entities_per_piece,
-            "period_boundary": self.period_boundary,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_payload(cls, payload):
-        d = dict(payload)
-        for key in ("train_corr", "test_corr"):
-            if isinstance(d.get(key), list):
-                d[key] = tuple(d[key])
-        return cls(**d)
-
     @classmethod
     def from_file(cls, path):
-        return cls.from_payload(json.loads(Path(path).read_text(encoding="utf-8")))
+        return from_fields(cls, json.loads(Path(path).read_text(encoding="utf-8")), "bias_spec", SyntheticSpecError)
 
 
 def _content_pools(vocab_size):

@@ -9,13 +9,13 @@ are never augmented, and the vocabulary must come from the train part alone.
 """
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import augmentation as aug
 from .augmentation import AUGMENT_ACTIONS, AUGMENT_KINDS
-from .framework import branches, loss_total, make_endef_model, score, truncate_piece
+from .framework import DEFAULT_ALPHA, DEFAULT_BETA, branches, loss_total, make_endef_model, score, truncate_piece
 from .metrics import DEFAULT_MAXFPR, PredictionSet, evaluate, f1_scores
 from .models import MAX_SEQ_LEN, AdamState, ModelError, adam_step
 from .vocab import build_vocabulary
@@ -61,8 +61,8 @@ class TrainConfig:
     max_epochs: int = 50
     patience: int = 5
     seed: int = 0
-    alpha: float = 0.8
-    beta: float = 0.2
+    alpha: float = DEFAULT_ALPHA
+    beta: float = DEFAULT_BETA
     max_len: int = MAX_SEQ_LEN
     min_token_freq: int = 2
     stop_grad_entity_from_overall: bool = False
@@ -79,16 +79,6 @@ class TrainConfig:
             raise TrainingError("patience must be at least 1")
         if self.max_len < 1:
             raise TrainingError("max_len must be at least 1")
-
-    def to_dict(self):
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d):
-        d = dict(d)
-        if "augment" in d and isinstance(d["augment"], dict):
-            d["augment"] = AugmentSettings(**d["augment"])
-        return cls(**d)
 
 
 @dataclass

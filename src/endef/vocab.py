@@ -95,13 +95,6 @@ class Vocabulary:
             ids = ids[:max_len]
         return np.asarray(ids, dtype=np.intp)
 
-    def to_payload(self):
-        return {"tokens": list(self.tokens)}
-
-    @classmethod
-    def from_payload(cls, payload):
-        return cls(tuple(payload["tokens"]))
-
 
 def build_vocabulary(corpus, min_freq=2):
     """Vocabulary from a training corpus (piece tokens only)."""

@@ -73,6 +73,25 @@ def test_synthesize_writes_corpus_ledger_spec_provenance(spec_file, tmp_path, ca
     assert "endef" in prov["versions"]
 
 
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ([], "bias_spec must be a JSON object, got list"),
+        (bias_spec_payload(n_entity=6), "bias_spec has unknown field 'n_entity'"),
+        (bias_spec_payload(seed="21"), "bias_spec.seed must be an integer, got '21'"),
+    ],
+    ids=["not-an-object", "unknown-field", "wrong-type"],
+)
+def test_synthesize_rejects_malformed_spec(tmp_path, capsys, payload, message):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(payload), encoding="utf-8")
+    out = tmp_path / "synth"
+    assert run_cli("synthesize", "--spec", spec, "--out-dir", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
 def test_cli_is_thin_shell_over_library(spec_file, tmp_path, capsys):
     # bias-report output must equal calling the module operations directly
     out = tmp_path / "synth"
@@ -82,7 +101,7 @@ def test_cli_is_thin_shell_over_library(spec_file, tmp_path, capsys):
         "bias-report", "--corpus", out / "corpus.jsonl", "--boundary", 1_000_000, "--out-dir", report_dir
     ) == 0
     capsys.readouterr()
-    spec = BiasSpec.from_payload(bias_spec_payload())
+    spec = BiasSpec(**bias_spec_payload())
     corpus, _ = generate(spec)
     rows = entity_bias_table(corpus, 1_000_000)
     direct = tmp_path / "direct.tsv"
@@ -170,6 +189,90 @@ def prepare_split_dir(tmp_path, spec_file):
         "--out-dir", split_dir,
     )
     return split_dir
+
+
+@pytest.fixture(scope="module")
+def shared_split_dir(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("shared")
+    spec = tmp / "spec.json"
+    spec.write_text(json.dumps(bias_spec_payload()), encoding="utf-8")
+    return prepare_split_dir(tmp, spec)
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ([], "config must be a JSON object, got list"),
+        ({"detecter": {"kind": BAG_OF_EMBEDDINGS}}, "config has unknown field 'detecter'"),
+        ({"entity_model": {"kind": BAG_OF_EMBEDDINGS, "embed_dims": 4}}, "config.entity_model has unknown field 'embed_dims'"),
+        ({"detector": {"embed_dim": 8, "hidden_dim": 12}}, "config.detector is missing field 'kind'"),
+        ({"train": {"lrr": 0.01}}, "config.train has unknown field 'lrr'"),
+        ({"train": {"augment": {"prob": 0.2}}}, "config.train.augment has unknown field 'prob'"),
+        ({"inference": {"scale_by_alpha": "false"}}, "config.inference.scale_by_alpha must be true or false"),
+        ({"detector": {"kind": BAG_OF_EMBEDDINGS, "embed_dim": "8"}}, "config.detector.embed_dim must be an integer"),
+        ({"train": {"lr": True}}, "config.train.lr must be a number, got True"),
+    ],
+    ids=[
+        "not-an-object",
+        "section",
+        "encoder-field",
+        "encoder-kind",
+        "train-field",
+        "augment-field",
+        "scale-by-alpha",
+        "encoder-type",
+        "train-type",
+    ],
+)
+def test_train_rejects_malformed_config(shared_split_dir, tmp_path, capsys, payload, message):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(payload), encoding="utf-8")
+    run_dir = tmp_path / "run"
+    code = run_cli(
+        "train",
+        "--train", shared_split_dir / "train.jsonl",
+        "--val", shared_split_dir / "val.jsonl",
+        "--config", config,
+        "--max-epochs", 1,
+        "--out-dir", run_dir,
+    )
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and message in err
+    assert not run_dir.exists()
+
+
+def test_augment_flags_match_the_config_fields_they_set(shared_split_dir, tmp_path, capsys):
+    base = json.loads(_write_config(tmp_path / "config.json", max_epochs=1).read_text(encoding="utf-8"))
+    base["train"]["augment"] = {"apply_probability": 0.7}
+    cases = (
+        (("--augment-p", 0.3), {"probability": 0.3}),
+        (("--no-augment",), {"enabled": False}),
+        (("--augment-p", 0.3, "--no-augment"), {"probability": 0.3, "enabled": False}),
+    )
+    for i, (flags, fields) in enumerate(cases):
+        # each flag run must equal a run whose config sets the same augment fields
+        configured = json.loads(json.dumps(base))
+        configured["train"]["augment"].update(fields)
+        runs = {}
+        for how, payload, extra in (("flags", base, flags), ("config", configured, ())):
+            config = tmp_path / f"config-{i}-{how}.json"
+            config.write_text(json.dumps(payload), encoding="utf-8")
+            runs[how] = tmp_path / f"run-{i}-{how}"
+            assert run_cli(
+                "train",
+                "--train", shared_split_dir / "train.jsonl",
+                "--val", shared_split_dir / "val.jsonl",
+                "--config", config,
+                *extra,
+                "--out-dir", runs[how],
+            ) == 0
+            capsys.readouterr()
+        prov = {how: json.loads((d / "provenance.json").read_text())["config"] for how, d in runs.items()}
+        assert prov["flags"] == prov["config"]
+        assert prov["flags"]["train"]["augment"]["apply_probability"] == 0.7
+        assert all(prov["flags"]["train"]["augment"][k] == v for k, v in fields.items())
+        assert (runs["flags"] / "checkpoint.json").read_bytes() == (runs["config"] / "checkpoint.json").read_bytes()
 
 
 def test_train_evaluate_case_report_end_to_end(spec_file, tmp_path, capsys):
@@ -288,6 +391,9 @@ def test_evaluate_and_case_report_score_with_the_checkpoint_settings(spec_file, 
     assert rows == case_report(model, load_corpus(test_part), 5, scale_by_alpha=True)
 
 
+MISSING = object()
+
+
 def test_malformed_checkpoint_fails_at_the_boundary(tmp_path, capsys):
     spec = EncoderSpec(BAG_OF_EMBEDDINGS, embed_dim=2, hidden_dim=3)
     model = make_endef_model(spec, spec, Vocabulary(SPECIAL_TOKENS + ("a", "b")))
@@ -306,13 +412,24 @@ def test_malformed_checkpoint_fails_at_the_boundary(tmp_path, capsys):
         (("format_version",), 3, "unsupported checkpoint format_version 3"),
         (("inference", "max_len"), "5", "checkpoint inference max_len must be a positive integer"),
         (("inference", "scale_by_alpha"), "yes", "checkpoint inference scale_by_alpha must be true or false"),
+        (("inference",), [], "checkpoint inference must be a JSON object, got list"),
+        (("detector",), [], "detector encoder: scalar_model must be a JSON object, got list"),
+        (("detector", "spec"), MISSING, "detector encoder: scalar_model is missing field 'spec'"),
+        (("detector", "params"), MISSING, "detector encoder: scalar_model is missing field 'params'"),
+        (("detector", "vocab"), MISSING, "detector encoder: scalar_model is missing field 'vocab'"),
+        (("entity_model", "spec", "kind"), MISSING, "entity_model encoder: spec is missing field 'kind'"),
+        (("entity_model",), MISSING, "checkpoint is missing field 'entity_model'"),
+        (("alpha",), MISSING, "checkpoint is missing field 'alpha'"),
     )
     for i, ((*parents, field), value, message) in enumerate(cases):
         payload = json.loads(good.read_text(encoding="utf-8"))
         target = payload
         for key in parents:
             target = target[key]
-        target[field] = value
+        if value is MISSING:
+            del target[field]
+        else:
+            target[field] = value
         path = tmp_path / f"bad-{i}.json"
         path.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(ModelError, match=re.escape(message)):

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -376,8 +377,8 @@ def test_format_1_checkpoint_loads_with_documented_defaults(tmp_path):
         return {
             "format_version": 1,
             "kind": "scalar_model",
-            "spec": encoder.spec.to_payload(),
-            "vocab": encoder.vocab.to_payload(),
+            "spec": asdict(encoder.spec),
+            "vocab": asdict(encoder.vocab),
             "params": encoder.params.tolist(),
         }
 

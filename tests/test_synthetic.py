@@ -1,6 +1,10 @@
+import json
+from dataclasses import asdict
+
 import pytest
 
 from endef.corpus import entity_bias_table
+from endef.payload import from_fields
 from endef.synthetic import BiasSpec, SyntheticSpecError, generate
 
 
@@ -130,7 +134,7 @@ def test_infeasible_spec_raises():
 
 def test_payload_round_trip():
     spec = small_spec()
-    assert BiasSpec.from_payload(spec.to_payload()) == spec
+    assert from_fields(BiasSpec, json.loads(json.dumps(asdict(spec))), "bias_spec", SyntheticSpecError) == spec
 
 
 def test_content_signal_is_period_stable_and_learnable():

@@ -1,5 +1,5 @@
 import json
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -17,6 +17,7 @@ from endef.experiments import (
 )
 from endef.framework import input_ids, make_endef_model
 from endef.models import BAG_OF_EMBEDDINGS, CONV_NGRAM, EncoderSpec, ScalarModel
+from endef.payload import from_fields
 from endef.synthetic import BiasSpec, generate
 from endef.training import (
     AugmentSettings,
@@ -70,7 +71,7 @@ def test_config_validation():
 
 def test_config_dict_round_trip():
     cfg = TrainConfig(lr=1e-3, augment=AugmentSettings(probability=0.2, kinds=("word_level",)))
-    assert TrainConfig.from_dict(cfg.to_dict()) == cfg
+    assert from_fields(TrainConfig, json.loads(json.dumps(asdict(cfg))), "train", TrainingError) == cfg
 
 
 def test_truncate_piece_relocates_entities():

@@ -1,6 +1,10 @@
+import json
+from dataclasses import asdict
+
 import pytest
 
 from endef.corpus import Corpus
+from endef.payload import from_fields
 from endef.vocab import SPECIAL_TOKENS, Vocabulary, VocabularyError, build_vocabulary
 
 from conftest import make_piece
@@ -56,4 +60,4 @@ def test_build_vocabulary_from_train_corpus_only():
 
 def test_payload_round_trip():
     v = Vocabulary.build([["x", "x", "y", "y"]])
-    assert Vocabulary.from_payload(v.to_payload()) == v
+    assert from_fields(Vocabulary, json.loads(json.dumps(asdict(v))), "vocab", VocabularyError) == v
