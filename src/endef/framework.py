@@ -27,7 +27,7 @@ from .models import (
     binary_cross_entropy,
     sigmoid,
 )
-from .payload import require
+from .payload import check_type, require
 
 DEFAULT_ALPHA = 0.8
 DEFAULT_BETA = 0.2
@@ -251,8 +251,8 @@ def load_checkpoint(path):
         model = EndefModel(
             _load_encoder(entity, "entity_model", reads="entities"),
             _load_encoder(detector, "detector"),
-            float(alpha),
-            float(beta),
+            float(check_type(alpha, float, "checkpoint.alpha", ModelError)),
+            float(check_type(beta, float, "checkpoint.beta", ModelError)),
         )
     elif kind == "scalar_model":
         model = _load_encoder(payload, "scalar_model")
@@ -262,8 +262,7 @@ def load_checkpoint(path):
     require(inference, (), "checkpoint inference", ModelError)
     max_len = inference.get("max_len", MAX_SEQ_LEN)
     scale_by_alpha = inference.get("scale_by_alpha", False)
+    check_type(scale_by_alpha, bool, "checkpoint inference scale_by_alpha", ModelError)
     if isinstance(max_len, bool) or not isinstance(max_len, int) or max_len < 1:
         raise ModelError(f"checkpoint inference max_len must be a positive integer, got {max_len!r}")
-    if not isinstance(scale_by_alpha, bool):
-        raise ModelError(f"checkpoint inference scale_by_alpha must be true or false, got {scale_by_alpha!r}")
     return Checkpoint(model, max_len, scale_by_alpha)

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .payload import from_fields, require
+from .payload import check_type, from_fields, require
 
 BAG_OF_EMBEDDINGS = "bag_of_embeddings_mlp"
 CONV_NGRAM = "conv_ngram"
@@ -72,7 +72,10 @@ class EncoderSpec:
     activation: str = "relu"
 
     def __post_init__(self):
-        object.__setattr__(self, "window_sizes", tuple(int(w) for w in self.window_sizes))
+        if not isinstance(self.window_sizes, (list, tuple)):
+            raise ModelError(f"window_sizes must be a list of integers, got {self.window_sizes!r}")
+        sizes = tuple(check_type(w, int, f"window_sizes[{i}]", ModelError) for i, w in enumerate(self.window_sizes))
+        object.__setattr__(self, "window_sizes", sizes)
         if self.kind not in ENCODER_KINDS:
             raise ModelError(f"unknown encoder kind {self.kind!r}")
         if self.embed_dim < 1 or self.hidden_dim < 1:
@@ -177,19 +180,6 @@ class ScalarModel:
     def num_params(self):
         return self.layout.size
 
-    def _clean_ids(self, token_ids):
-        ids = np.asarray(token_ids, dtype=np.intp).ravel()
-        if ids.size == 0:
-            raise ModelError("cannot run the encoder on an empty token sequence")
-        oov = (ids < 0) | (ids >= self.vocab.size)
-        if oov.any():
-            ids = np.where(oov, self.vocab.unk_id, ids)
-        if self.spec.kind == CONV_NGRAM:
-            need = max(self.spec.window_sizes)
-            if ids.size < need:
-                ids = np.concatenate([ids, np.full(need - ids.size, self.vocab.pad_id, dtype=np.intp)])
-        return ids
-
     def forward(self, token_ids):
         """Scalar logit for one encoded sequence (pure function of params and input)."""
         return float(self._forward_cache([token_ids])[0][0])
@@ -207,14 +197,20 @@ class ScalarModel:
 
     def _forward_cache(self, batch_ids):
         """Logits of a batch of encoded sequences, padded to (B, L) behind a length mask."""
-        seqs = [self._clean_ids(ids) for ids in batch_ids]
+        seqs = [np.asarray(ids, dtype=np.intp).ravel() for ids in batch_ids]
         if not seqs:
             raise ModelError("cannot run the encoder on an empty batch")
-        lengths = np.array([s.size for s in seqs])
-        ids = np.concatenate(seqs)
-        mask = np.arange(lengths.max()) < lengths[:, None]
-        padded = np.full(mask.shape, self.vocab.pad_id, dtype=np.intp)
-        padded[mask] = ids
+        sizes = np.array([s.size for s in seqs])
+        if not sizes.all():
+            raise ModelError("cannot run the encoder on an empty token sequence")
+        # a conv document shorter than its widest window reads [PAD] as real input
+        lengths = np.maximum(sizes, max(self.spec.window_sizes)) if self.spec.kind == CONV_NGRAM else sizes
+        columns = np.arange(lengths.max())
+        padded = np.full((sizes.size, columns.size), self.vocab.pad_id, dtype=np.intp)
+        padded[columns < sizes[:, None]] = np.concatenate(seqs)
+        padded[(padded < 0) | (padded >= self.vocab.size)] = self.vocab.unk_id
+        mask = columns < lengths[:, None]
+        ids = padded[mask]
         p, layout = self.params, self.layout
         X = layout.view(p, "embed")[padded]
         cache = {"ids": ids, "lengths": lengths, "mask": mask, "X": X}

@@ -27,6 +27,14 @@ def require(payload, names, where, error):
     return tuple(payload[name] for name in names)
 
 
+def check_type(value, kind, where, error):
+    """`value` once it holds the JSON type of a field annotated `kind`, or `error` naming `where`."""
+    accepted, described = JSON_TYPES[kind]
+    if not isinstance(value, accepted) or isinstance(value, bool) != (kind is bool):
+        raise error(f"{where} must be {described}, got {value!r}")
+    return value
+
+
 def from_fields(cls, payload, where, error):
     """`cls(**payload)` for a dataclass `cls`, once `payload` holds its fields without a default and no other.
 
@@ -39,11 +47,8 @@ def from_fields(cls, payload, where, error):
     for name, value in payload.items():
         if name not in known:
             raise error(f"{where} has unknown field {name!r}")
-        kind = known[name].type
-        if kind in JSON_TYPES:
-            accepted, described = JSON_TYPES[kind]
-            if not isinstance(value, accepted) or isinstance(value, bool) != (kind is bool):
-                raise error(f"{where}.{name} must be {described}, got {value!r}")
+        if known[name].type in JSON_TYPES:
+            check_type(value, known[name].type, f"{where}.{name}", error)
     nested = {
         name: from_fields(known[name].type, value, f"{where}.{name}", error)
         for name, value in payload.items()

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import Corpus, EntityBiasRow, NewsPiece
-from .payload import from_fields
+from .payload import check_type, from_fields
 
 
 class SyntheticSpecError(ValueError):
@@ -31,9 +31,9 @@ class SyntheticSpecError(ValueError):
 
 
 def _as_corr_tuple(value, n_entities, name):
-    if isinstance(value, (int, float)):
-        value = (float(value),) * n_entities
-    value = tuple(float(v) for v in value)
+    if not isinstance(value, (list, tuple)):
+        value = (check_type(value, float, name, SyntheticSpecError),) * n_entities
+    value = tuple(float(check_type(v, float, f"{name}[{i}]", SyntheticSpecError)) for i, v in enumerate(value))
     if len(value) != n_entities:
         raise SyntheticSpecError(f"{name} must have one value per entity ({n_entities}), got {len(value)}")
     if any(not 0.0 <= v <= 1.0 for v in value):

@@ -54,7 +54,7 @@ class AugmentSettings:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Loop hyperparameters. alpha/beta are consumed at model construction time."""
+    """Loop hyperparameters. alpha/beta are checked here, before any data loads, and consumed at model construction."""
 
     lr: float = 5e-3
     batch_size: int = 64
@@ -69,7 +69,7 @@ class TrainConfig:
     augment: AugmentSettings = field(default_factory=AugmentSettings)
 
     def __post_init__(self):
-        if self.lr <= 0:
+        if not self.lr > 0:  # NaN fails too
             raise TrainingError("lr must be positive")
         if self.batch_size < 1:
             raise TrainingError("batch_size must be at least 1")
@@ -79,6 +79,10 @@ class TrainConfig:
             raise TrainingError("patience must be at least 1")
         if self.max_len < 1:
             raise TrainingError("max_len must be at least 1")
+        if not 0.0 <= self.alpha <= 1.0:
+            raise TrainingError("alpha must lie in [0, 1]")
+        if not self.beta >= 0.0:  # NaN fails too
+            raise TrainingError("beta must be non-negative")
 
 
 @dataclass

@@ -79,21 +79,16 @@ class Vocabulary:
         """Token ids with unknowns mapped to [UNK], truncated to max_len."""
         if max_len is not None:
             tokens = tokens[:max_len]
-        return np.fromiter(map(self._index.get, tokens, repeat(2)), dtype=np.intp, count=len(tokens))
+        return np.fromiter(map(self._index.get, tokens, repeat(self.unk_id)), dtype=np.intp, count=len(tokens))
 
     def encode_entities(self, entities, max_len=None):
-        """Entity strings tokenized and joined with [SEP]; a lone [PAD] when empty."""
-        idx = self._index
-        ids = []
+        """The words of the entity strings joined with [SEP] and encoded as tokens; a lone [PAD] when empty."""
+        words = []
         for j, e in enumerate(entities):
             if j:
-                ids.append(3)
-            ids.extend(idx.get(t, 2) for t in e.split())
-        if not ids:
-            ids = [0]
-        if max_len is not None:
-            ids = ids[:max_len]
-        return np.asarray(ids, dtype=np.intp)
+                words.append(SEP_TOKEN)
+            words.extend(e.split())
+        return self.encode_tokens(words or [PAD_TOKEN], max_len)
 
 
 def build_vocabulary(corpus, min_freq=2):

@@ -7,7 +7,7 @@ import pytest
 from endef.cli import main
 from endef.corpus import Corpus, entity_bias_table, export_bias_table, load_corpus, save_corpus
 from endef.framework import case_report, load_checkpoint, make_endef_model, save_checkpoint
-from endef.models import BAG_OF_EMBEDDINGS, EncoderSpec, ModelError
+from endef.models import BAG_OF_EMBEDDINGS, CONV_NGRAM, EncoderSpec, ModelError
 from endef.synthetic import BiasSpec, generate
 from endef.vocab import SPECIAL_TOKENS, Vocabulary
 
@@ -79,8 +79,11 @@ def test_synthesize_writes_corpus_ledger_spec_provenance(spec_file, tmp_path, ca
         ([], "bias_spec must be a JSON object, got list"),
         (bias_spec_payload(n_entity=6), "bias_spec has unknown field 'n_entity'"),
         (bias_spec_payload(seed="21"), "bias_spec.seed must be an integer, got '21'"),
+        (bias_spec_payload(train_corr="x"), "train_corr must be a number, got 'x'"),
+        (bias_spec_payload(test_corr=True), "test_corr must be a number, got True"),
+        (bias_spec_payload(train_corr=[0.5] * 5 + [True]), "train_corr[5] must be a number, got True"),
     ],
-    ids=["not-an-object", "unknown-field", "wrong-type"],
+    ids=["not-an-object", "unknown-field", "wrong-type", "corr-string", "corr-bool", "corr-list-bool"],
 )
 def test_synthesize_rejects_malformed_spec(tmp_path, capsys, payload, message):
     spec = tmp_path / "spec.json"
@@ -211,6 +214,12 @@ def shared_split_dir(tmp_path_factory):
         ({"inference": {"scale_by_alpha": "false"}}, "config.inference.scale_by_alpha must be true or false"),
         ({"detector": {"kind": BAG_OF_EMBEDDINGS, "embed_dim": "8"}}, "config.detector.embed_dim must be an integer"),
         ({"train": {"lr": True}}, "config.train.lr must be a number, got True"),
+        ({"train": {"alpha": 1.5}}, "alpha must lie in [0, 1]"),
+        ({"train": {"beta": -0.5}}, "beta must be non-negative"),
+        ({"detector": {"kind": CONV_NGRAM, "window_sizes": 3}}, "window_sizes must be a list of integers, got 3"),
+        ({"detector": {"kind": CONV_NGRAM, "window_sizes": [2.7, 1]}}, "window_sizes[0] must be an integer, got 2.7"),
+        ({"detector": {"kind": CONV_NGRAM, "window_sizes": ["2"]}}, "window_sizes[0] must be an integer, got '2'"),
+        ({"detector": {"kind": CONV_NGRAM, "window_sizes": [1, True]}}, "window_sizes[1] must be an integer, got True"),
     ],
     ids=[
         "not-an-object",
@@ -222,6 +231,12 @@ def shared_split_dir(tmp_path_factory):
         "scale-by-alpha",
         "encoder-type",
         "train-type",
+        "train-alpha",
+        "train-beta",
+        "window-sizes-scalar",
+        "window-sizes-float",
+        "window-sizes-string",
+        "window-sizes-bool",
     ],
 )
 def test_train_rejects_malformed_config(shared_split_dir, tmp_path, capsys, payload, message):
@@ -234,6 +249,34 @@ def test_train_rejects_malformed_config(shared_split_dir, tmp_path, capsys, payl
         "--val", shared_split_dir / "val.jsonl",
         "--config", config,
         "--max-epochs", 1,
+        "--out-dir", run_dir,
+    )
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and message in err
+    assert not run_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--alpha", 1.5, "alpha must lie in [0, 1]"),
+        ("--alpha", -0.1, "alpha must lie in [0, 1]"),
+        ("--beta", -1, "beta must be non-negative"),
+        ("--beta", "nan", "beta must be non-negative"),
+        ("--lr", "nan", "lr must be positive"),
+    ],
+)
+def test_train_rejects_out_of_range_hyperparameter_flags_before_any_output(
+    shared_split_dir, tmp_path, capsys, flag, value, message
+):
+    # the flag fails before any corpus loads or any directory is made
+    run_dir = tmp_path / "run"
+    code = run_cli(
+        "train",
+        "--train", shared_split_dir / "train.jsonl",
+        "--val", shared_split_dir / "val.jsonl",
+        flag, value,
         "--out-dir", run_dir,
     )
     err = capsys.readouterr().err
@@ -420,6 +463,8 @@ def test_malformed_checkpoint_fails_at_the_boundary(tmp_path, capsys):
         (("entity_model", "spec", "kind"), MISSING, "entity_model encoder: spec is missing field 'kind'"),
         (("entity_model",), MISSING, "checkpoint is missing field 'entity_model'"),
         (("alpha",), MISSING, "checkpoint is missing field 'alpha'"),
+        (("alpha",), True, "checkpoint.alpha must be a number, got True"),
+        (("beta",), "0.2", "checkpoint.beta must be a number, got '0.2'"),
     )
     for i, ((*parents, field), value, message) in enumerate(cases):
         payload = json.loads(good.read_text(encoding="utf-8"))

@@ -33,6 +33,11 @@ def test_spec_validation():
         EncoderSpec(CONV_NGRAM, window_sizes=())
     with pytest.raises(ModelError):
         EncoderSpec(BAG_OF_EMBEDDINGS, activation="tanh")
+    # window sizes are a list of integers: [2.7, 1] is rejected, not truncated to [2, 1]
+    for window_sizes in (3, [2.7, 1], ["2"], [True], "12"):
+        for kind in (BAG_OF_EMBEDDINGS, CONV_NGRAM):
+            with pytest.raises(ModelError, match="window_sizes"):
+                EncoderSpec(kind, window_sizes=window_sizes)
 
 
 def test_zero_params_give_zero_logit():
@@ -56,6 +61,12 @@ def test_empty_sequence_rejected():
     model = ScalarModel(tiny_spec(BAG_OF_EMBEDDINGS), tiny_vocab())
     with pytest.raises(ModelError):
         model.forward(np.array([], dtype=np.intp))
+    for spec in REFERENCE_SPECS:
+        model = ScalarModel(spec, REFERENCE_VOCAB)
+        with pytest.raises(ModelError, match="empty token sequence"):
+            model._forward_cache([[4, 5, 6], [], [7]])
+        with pytest.raises(ModelError, match="empty batch"):
+            model._forward_cache([])
 
 
 def test_out_of_vocabulary_index_maps_to_unk():
@@ -63,6 +74,23 @@ def test_out_of_vocabulary_index_maps_to_unk():
     model = ScalarModel(tiny_spec(BAG_OF_EMBEDDINGS), vocab, seed=1)
     assert model.forward([vocab.size + 50]) == model.forward([vocab.unk_id])
     assert model.forward([-3]) == model.forward([vocab.unk_id])
+
+
+def test_out_of_range_ids_in_a_batch_read_as_unk():
+    vocab = REFERENCE_VOCAB
+    batch = [[4, -1, 5, vocab.size], [vocab.size + 7], [6, 7, 8, 9, -40, 4], [-2, 5]]
+    as_unk = [[vocab.unk_id if i < 0 or i >= vocab.size else i for i in ids] for ids in batch]
+    upstream = np.array([0.3, -1.1, 0.7, 2.0])
+    for seed in range(3):
+        for spec in REFERENCE_SPECS:
+            model = ScalarModel(spec, vocab, seed=seed)
+            logits, cache = model._forward_cache(batch)
+            expect_logits, expect_cache = model._forward_cache(as_unk)
+            assert np.array_equal(logits, expect_logits)
+            grad = model._backward_from_cache(cache, upstream)
+            expect = model._backward_from_cache(expect_cache, upstream)
+            for part, expect_part in zip(grad, expect):
+                assert np.array_equal(part, expect_part)
 
 
 def bag_forward_oracle(model, ids):
@@ -172,7 +200,18 @@ def test_backward_untouched_embedding_rows_have_zero_gradient():
 
 def per_sample_forward_reference(model, token_ids):
     """The per-document forward pass the batched one replaced: (logit, cache) for one sequence."""
-    ids = model._clean_ids(token_ids)
+    # the reference cleans each sequence on its own, independently of the model:
+    # out-of-range ids become [UNK], a short conv document is padded with [PAD]
+    ids = np.asarray(token_ids, dtype=np.intp).ravel()
+    if ids.size == 0:
+        raise ModelError("cannot run the encoder on an empty token sequence")
+    oov = (ids < 0) | (ids >= model.vocab.size)
+    if oov.any():
+        ids = np.where(oov, model.vocab.unk_id, ids)
+    if model.spec.kind == CONV_NGRAM:
+        need = max(model.spec.window_sizes)
+        if ids.size < need:
+            ids = np.concatenate([ids, np.full(need - ids.size, model.vocab.pad_id, dtype=np.intp)])
     p, layout = model.params, model.layout
     X = layout.view(p, "embed")[ids]
     cache = {"ids": ids, "X": X}

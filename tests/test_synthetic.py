@@ -31,6 +31,10 @@ def test_spec_validation():
         small_spec(train_corr=(0.5,))  # wrong length
     with pytest.raises(SyntheticSpecError):
         small_spec(test_corr=1.5)
+    # a correlation is a number or a list of numbers: a bool is not 1.0, nor a string the number it spells
+    for corr in ("0.5", True, [0.5] * 7 + [False], {"a": 0.5}):
+        with pytest.raises(SyntheticSpecError, match=r"train_corr(\[7\])? must be a number"):
+            small_spec(train_corr=corr)
     with pytest.raises(SyntheticSpecError):
         small_spec(content_signal_strength=0.0)
     with pytest.raises(SyntheticSpecError):

@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -57,12 +58,19 @@ def tiny_setup(seed=0, det_kind=BAG_OF_EMBEDDINGS, n_train=120):
 
 
 def test_config_validation():
-    with pytest.raises(TrainingError):
-        TrainConfig(lr=0.0)
+    for lr in (0.0, math.nan):
+        with pytest.raises(TrainingError):
+            TrainConfig(lr=lr)
     with pytest.raises(TrainingError):
         TrainConfig(batch_size=0)
     with pytest.raises(TrainingError):
         TrainConfig(patience=0)
+    for alpha in (-0.1, 1.5):
+        with pytest.raises(TrainingError, match=r"alpha must lie in \[0, 1\]"):
+            TrainConfig(alpha=alpha)
+    for beta in (-0.1, math.nan):
+        with pytest.raises(TrainingError, match="beta must be non-negative"):
+            TrainConfig(beta=beta)
     with pytest.raises(TrainingError):
         AugmentSettings(probability=1.2)
     with pytest.raises(TrainingError):

@@ -1,6 +1,7 @@
 import json
 from dataclasses import asdict
 
+import numpy as np
 import pytest
 
 from endef.corpus import Corpus
@@ -49,6 +50,42 @@ def test_encode_entities_sep_joined_and_pad_when_empty():
     b = v.encode_tokens(["beta"])[0]
     assert ids == [a, b, v.sep_id, a]
     assert v.encode_entities([]).tolist() == [v.pad_id]
+
+
+def literal_id_encode_entities(vocab, entities, max_len=None):
+    """The entity encoder before it went through encode_tokens: its own lookup with [SEP] = 3, [UNK] = 2, [PAD] = 0."""
+    idx = {t: i for i, t in enumerate(vocab.tokens)}
+    ids = []
+    for j, e in enumerate(entities):
+        if j:
+            ids.append(3)
+        ids.extend(idx.get(t, 2) for t in e.split())
+    if not ids:
+        ids = [0]
+    if max_len is not None:
+        ids = ids[:max_len]
+    return np.asarray(ids, dtype=np.intp)
+
+
+def test_encode_entities_matches_the_literal_id_encoder():
+    v = Vocabulary.build([["alpha", "alpha", "beta", "beta", "gamma", "gamma"]], min_freq=2)
+    words = ["alpha", "beta", "gamma", "unseen", *SPECIAL_TOKENS]
+    entity_forms = ["", " ", "  \t ", *words, *(f"{a} {b}" for a in words for b in words[::3]), "alpha  [SEP]\tbeta "]
+    rng = np.random.default_rng(5)
+    cases = [[], [""], ["  "], ["", "alpha"], ["[SEP]", "[PAD]"]]
+    cases += [list(rng.choice(entity_forms, size=rng.integers(1, 6))) for _ in range(300)]
+    cut_at_sep = 0
+    for entities in cases:
+        full = literal_id_encode_entities(v, entities)
+        assert v.encode_entities(entities).tolist() == full.tolist()
+        seps = np.flatnonzero(full == v.sep_id).tolist()
+        # cuts before, at and just after every [SEP], and past the end
+        for max_len in {0, 1, full.size, full.size + 2, *seps, *(i + 1 for i in seps), *(i + 2 for i in seps)}:
+            got = v.encode_entities(entities, max_len)
+            assert got.dtype == np.intp
+            assert got.tolist() == literal_id_encode_entities(v, entities, max_len).tolist()
+            cut_at_sep += bool(max_len) and full[min(max_len, full.size) - 1] == v.sep_id
+    assert cut_at_sep > 0
 
 
 def test_build_vocabulary_from_train_corpus_only():
