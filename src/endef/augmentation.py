@@ -1,6 +1,10 @@
-"""Token-level training augmentation: random drop/mask of words or entity spans."""
+"""Token-level training augmentation: random drop/mask of words or entity spans.
 
-from dataclasses import replace
+Training augments records, not pieces: `plan_records` scans each
+truncated training piece once per run, and `augment` edits a record with
+the same random draws as an edit of the piece, rescanning only the edited
+tokens.
+"""
 
 from .recognizer import longest_matches
 from .vocab import MASK_TOKEN
@@ -19,19 +23,33 @@ def _entity_forms(entity_strings):
     return forms
 
 
-def _entity_matches(tokens, entity_strings):
-    # (start, end, entity) for every longest-leftmost exact token-tuple match
-    forms = _entity_forms(entity_strings)
-    if not forms:
-        return []
-    tokens = tuple(tokens)
-    starts = {form[0] for form in forms}
-    return longest_matches(tokens, range(len(tokens) + 1), max(map(len, forms)), forms, starts)
+class _Scanner:
+    """Longest-leftmost matcher of a fixed set of entity strings against token sequences."""
+
+    __slots__ = ("forms", "starts", "max_span")
+
+    def __init__(self, entity_strings):
+        self.forms = _entity_forms(entity_strings)
+        self.starts = {form[0] for form in self.forms}
+        self.max_span = max(map(len, self.forms), default=0)
+
+    def matches(self, tokens):
+        # (start, end, entity) for every longest-leftmost exact token-tuple match
+        if not self.forms:
+            return []
+        return longest_matches(tokens, range(len(tokens) + 1), self.max_span, self.forms, self.starts)
 
 
-def entity_spans(tokens, entity_strings):
-    """Non-overlapping (start, end) entity spans, longest match first at each position."""
-    return [(a, b) for a, b, _ in _entity_matches(tokens, entity_strings)]
+def _partition(piece, scanners):
+    # (in-text scanner, external entities): entities that never occurred in
+    # the piece's tokens were supplied externally and survive every edit.
+    # On two spellings of one token tuple the first in-text one in set
+    # order wins, so `scanners` shares them by that order, not by the set.
+    external = piece.external_entities()
+    in_text = tuple({e for e in piece.entities if e not in external})
+    if in_text not in scanners:
+        scanners[in_text] = _Scanner(in_text)
+    return scanners[in_text], external
 
 
 def recompute_entities(piece, new_tokens):
@@ -41,14 +59,71 @@ def recompute_entities(piece, new_tokens):
     never occurred in the original tokens were supplied externally and are
     preserved untouched at the end of the list.
     """
-    external = piece.external_entities()
-    in_text = {e for e in piece.entities if e not in external}
-    matched = tuple(e for _, _, e in _entity_matches(new_tokens, in_text))
-    return matched + external
+    scanner, external = _partition(piece, {})
+    return tuple(e for _, _, e in scanner.matches(tuple(new_tokens))) + external
 
 
-def augment(piece, settings, rng):
-    """Augment one training sample under validated `training.AugmentSettings`.
+def plan_records(pieces):
+    """The training records of one run: one `PieceRecord` per piece; records whose in-text entities match share a scanner."""
+    scanners = {}
+    return [PieceRecord(p, scanners) for p in pieces]
+
+
+class PieceRecord:
+    """One training piece as `augment` reads it, scanned once: its in-text scanner, external entities and entity spans."""
+
+    __slots__ = ("piece", "scanner", "external", "spans")
+
+    def __init__(self, piece, scanners):
+        self.piece = piece
+        self.scanner, self.external = _partition(piece, scanners)
+        self.spans = tuple((a, b) for a, b, _ in self.scanner.matches(piece.tokens))
+
+    @property
+    def id(self):
+        return self.piece.id
+
+    @property
+    def label(self):
+        return self.piece.label
+
+    @property
+    def tokens(self):
+        return self.piece.tokens
+
+    @property
+    def entities(self):
+        return self.piece.entities
+
+
+class Sample:
+    """An edited training record: the edited tokens and their entities, and where the edit fell.
+
+    `masked` holds the positions a mask replaced (empty for a drop) and
+    `kept` the positions a drop kept (None for a mask), both counted on
+    the record's tokens; `framework.sample_ids` derives ids from them.
+    """
+
+    __slots__ = ("record", "tokens", "entities", "masked", "kept")
+
+    def __init__(self, record, tokens, entities, masked, kept):
+        self.record = record
+        self.tokens = tokens
+        self.entities = entities
+        self.masked = masked
+        self.kept = kept
+
+    @property
+    def id(self):
+        return self.record.id
+
+    @property
+    def label(self):
+        return self.record.label
+
+
+def augment(record, settings, rng):
+    """Augment one training record under validated `training.AugmentSettings`.
 
     Nothing is drawn when augmentation is disabled. Otherwise the sample is
     skipped with chance 1 - apply_probability (one draw, made only when that
@@ -57,30 +132,31 @@ def augment(piece, settings, rng):
     the settings' probability; entity-level selects whole recognized spans
     (one draw per occurrence). When dropping would empty the sequence, one
     unmodified token chosen uniformly is retained instead. Label and id
-    never change; the entity list is recomputed against the edited tokens.
+    never change. An unedited record comes back as itself; an edited one as
+    a `Sample` whose entity list is recounted on the edited tokens.
     """
     if not settings.enabled:
-        return piece
+        return record
     if settings.apply_probability < 1.0 and rng.random() >= settings.apply_probability:
-        return piece
+        return record
     kind = settings.kinds[int(rng.integers(len(settings.kinds)))]
     action = settings.actions[int(rng.integers(len(settings.actions)))]
     p = settings.probability
-    tokens = piece.tokens
+    tokens = record.tokens
     if kind == "word_level":
         draws = rng.random(len(tokens)).tolist()
         selected = {i for i, u in enumerate(draws) if u < p}
     else:
-        spans = entity_spans(tokens, piece.entities)
-        draws = rng.random(len(spans)).tolist()
-        selected = {i for (a, b), u in zip(spans, draws) if u < p for i in range(a, b)}
+        draws = rng.random(len(record.spans)).tolist()
+        selected = {i for (a, b), u in zip(record.spans, draws) if u < p for i in range(a, b)}
     if not selected:
-        return piece
+        return record
     if action == "mask":
+        masked, kept = selected, None
         new_tokens = tuple(MASK_TOKEN if i in selected else t for i, t in enumerate(tokens))
     else:
-        new_tokens = tuple(t for i, t in enumerate(tokens) if i not in selected)
-        if not new_tokens:
-            keep = int(rng.integers(len(tokens)))
-            new_tokens = (tokens[keep],)
-    return replace(piece, tokens=new_tokens, entities=recompute_entities(piece, new_tokens))
+        masked = ()
+        kept = [i for i in range(len(tokens)) if i not in selected] or [int(rng.integers(len(tokens)))]
+        new_tokens = tuple(tokens[i] for i in kept)
+    entities = tuple(e for _, _, e in record.scanner.matches(new_tokens)) + record.external
+    return Sample(record, new_tokens, entities, masked, kept)

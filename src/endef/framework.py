@@ -10,12 +10,13 @@ learned from historical data cannot steer predictions on future data.
 import json
 import math
 from dataclasses import dataclass, replace
+from itertools import accumulate, islice
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from .augmentation import recompute_entities
+from .augmentation import Sample, recompute_entities
 from .models import (
     BAG_OF_EMBEDDINGS,
     CHECKPOINT_FORMAT,
@@ -53,7 +54,7 @@ class EndefModel:
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
             raise ModelError("alpha must lie in [0, 1]")
-        if self.beta < 0.0:
+        if not self.beta >= 0.0:  # NaN fails too
             raise ModelError("beta must be non-negative")
 
     @property
@@ -99,7 +100,38 @@ def branches(model):
     return {"detector": model}
 
 
-def loss_total(model, batch, max_len=MAX_SEQ_LEN, stop_grad_entity_from_overall=False):
+def planned_ids(encoder, pieces, max_len):
+    """The ids an encoder reads from each piece (`input_ids`), kept in one flat array with one view per piece."""
+    ids = [input_ids(encoder, p, max_len) for p in pieces]
+    flat = np.concatenate(ids) if ids else np.zeros(0, dtype=np.intp)
+    ends = list(accumulate(map(len, ids)))
+    return [flat[a:b] for a, b in zip([0, *ends], ends)]
+
+
+def sample_ids(encoder, planned, sample, max_len):
+    """The ids an encoder reads from a training sample, given `planned`, those it reads from the unedited piece.
+
+    An unedited record reads `planned`. For an edited `augmentation.Sample`,
+    a token reader's ids are `planned` with [MASK]'s id written at the
+    masked positions, or only the kept positions left: training pieces are
+    cut to max_len before they are planned, so their token ids line up with
+    their tokens. An entity reader's ids are re-encoded only when the edit
+    changed the entity list.
+    """
+    if not isinstance(sample, Sample):
+        return planned
+    if encoder.reads == "tokens":
+        if sample.kept is not None:
+            return planned[sample.kept]
+        ids = planned.copy()
+        ids[list(sample.masked)] = encoder.vocab.mask_id
+        return ids
+    if sample.entities == sample.record.entities:
+        return planned
+    return input_ids(encoder, sample, max_len)
+
+
+def loss_total(model, batch, max_len=MAX_SEQ_LEN, stop_grad_entity_from_overall=False, ids=None):
     """Mean fused loss plus beta times mean entity loss, with gradients for every branch.
 
     Returns (loss, grads) with grads keyed like `branches(model)`. The fused
@@ -109,12 +141,17 @@ def loss_total(model, batch, max_len=MAX_SEQ_LEN, stop_grad_entity_from_overall=
     branch is suppressed. A single encoder is this objective with alpha = 1,
     beta = 0 and no entity branch. Each branch reads its own view and runs
     one forward and one backward pass over the whole batch; the loss itself
-    is summed one sample at a time.
+    is summed one sample at a time. `ids`, when given, maps each branch name
+    to the ids that branch reads from each sample (training derives them
+    from its plan with `sample_ids`); otherwise every branch reads
+    `input_ids` of each piece.
     """
     if len(batch) == 0:
         raise ModelError("loss_total needs a non-empty batch")
     encoders = branches(model)
-    passes = {name: enc._forward_cache([input_ids(enc, p, max_len) for p in batch]) for name, enc in encoders.items()}
+    if ids is None:
+        ids = {name: [input_ids(enc, p, max_len) for p in batch] for name, enc in encoders.items()}
+    passes = {name: enc._forward_cache(ids[name]) for name, enc in encoders.items()}
     alpha, beta = (model.alpha, model.beta) if "entity" in encoders else (1.0, 0.0)
     r_det = passes["detector"][0].tolist()
     r_ent = passes["entity"][0].tolist() if "entity" in encoders else None
@@ -149,18 +186,28 @@ def loss_total(model, batch, max_len=MAX_SEQ_LEN, stop_grad_entity_from_overall=
     return loss, grads
 
 
-def logits(encoder, pieces, max_len=MAX_SEQ_LEN):
-    """The raw logit of one encoder for every piece, read from the encoder's view.
+def encoded_logits(encoder, ids):
+    """The raw logit of one encoder for each id sequence of an iterable, in order.
 
-    Pieces are scored in corpus order in fixed chunks of SCORE_CHUNK, so a
-    piece's logit does not depend on which caller scores the corpus.
+    Sequences are scored in fixed chunks of SCORE_CHUNK, so a piece's logit
+    does not depend on which caller scores the corpus, nor on whether its
+    ids were encoded in advance.
     """
-    pieces = list(pieces)
+    ids = iter(ids)
     out = []
-    for start in range(0, len(pieces), SCORE_CHUNK):
-        chunk = pieces[start : start + SCORE_CHUNK]
-        out += encoder._forward_cache([input_ids(encoder, p, max_len) for p in chunk])[0].tolist()
+    while chunk := list(islice(ids, SCORE_CHUNK)):
+        out += encoder._forward_cache(chunk)[0].tolist()
     return out
+
+
+def logits(encoder, pieces, max_len=MAX_SEQ_LEN):
+    """The raw logit of one encoder for every piece, read from the encoder's view, in corpus order."""
+    return encoded_logits(encoder, (input_ids(encoder, p, max_len) for p in pieces))
+
+
+def probabilities(r):
+    """Sigmoid of each logit, as a float64 array."""
+    return np.array([sigmoid(x) for x in r], dtype=np.float64)
 
 
 def score(model, pieces, max_len=MAX_SEQ_LEN, scale_by_alpha=False):
@@ -173,7 +220,7 @@ def score(model, pieces, max_len=MAX_SEQ_LEN, scale_by_alpha=False):
     r = logits(branches(model)["detector"], pieces, max_len)
     if scale_by_alpha and isinstance(model, EndefModel):
         r = [model.alpha * x for x in r]
-    return np.array([sigmoid(x) for x in r], dtype=np.float64)
+    return probabilities(r)
 
 
 def case_report(model, corpus, max_len=MAX_SEQ_LEN, scale_by_alpha=False):

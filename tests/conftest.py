@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from endef.augmentation import plan_records
 from endef.corpus import NewsPiece
-from endef.models import BAG_OF_EMBEDDINGS, CONV_NGRAM, EncoderSpec
-from endef.vocab import SPECIAL_TOKENS, Vocabulary
+from endef.framework import planned_ids, sample_ids
+from endef.models import BAG_OF_EMBEDDINGS, CONV_NGRAM, MAX_SEQ_LEN, EncoderSpec, ScalarModel
+from endef.vocab import SPECIAL_TOKENS, Vocabulary, build_vocabulary
 
 
 def tiny_vocab(n_words=8):
@@ -90,6 +92,32 @@ def reference_longest_matches(items, max_span, table, key):
 
 def make_piece(pid, tokens, entities=(), label=0, timestamp=0):
     return NewsPiece(pid, tuple(tokens), tuple(entities), label, timestamp)
+
+
+def make_record(piece):
+    return plan_records([piece])[0]
+
+
+def make_plan(pieces, max_len=MAX_SEQ_LEN):
+    """Training records of pieces, a token reader and an entity reader on the pieces' words, and each record's planned ids.
+
+    Returns (records, encoders by branch name, one dict of planned ids by branch name per record).
+    """
+    pieces = list(pieces)
+    vocab = build_vocabulary(pieces, 1)
+    encoders = {
+        "tokens": ScalarModel(tiny_spec(BAG_OF_EMBEDDINGS), vocab),
+        "entities": ScalarModel(tiny_spec(BAG_OF_EMBEDDINGS), vocab, reads="entities"),
+    }
+    planned = {name: planned_ids(enc, pieces, max_len) for name, enc in encoders.items()}
+    rows = [{name: ids[row] for name, ids in planned.items()} for row in range(len(pieces))]
+    return plan_records(pieces), encoders, rows
+
+
+def snapshot(sample, encoders, planned, max_len=MAX_SEQ_LEN):
+    """What a training sample shows the loop, as comparable values: its id, label, tokens and entities, and each branch's ids."""
+    ids = {name: sample_ids(enc, planned[name], sample, max_len).tolist() for name, enc in encoders.items()}
+    return sample.id, sample.label, sample.tokens, sample.entities, ids
 
 
 @pytest.fixture

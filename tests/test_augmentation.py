@@ -8,13 +8,15 @@ from endef.augmentation import (
     AUGMENT_KINDS,
     MASK_TOKEN,
     augment,
-    entity_spans,
+    plan_records,
     recompute_entities,
 )
 from endef.corpus import contains_subsequence
+from endef.framework import input_ids
+from endef.models import MAX_SEQ_LEN
 from endef.training import AugmentSettings, TrainingError
 
-from conftest import make_piece, reference_longest_matches
+from conftest import make_piece, make_plan, make_record, reference_longest_matches, snapshot
 
 
 def only(kind, action, probability):
@@ -35,15 +37,17 @@ def test_policy_validation():
 
 def test_p_zero_is_identity(rng):
     piece = make_piece("a", ("x", "y", "z"), ("y",), 1, 3)
+    record = make_record(piece)
     for kind in AUGMENT_KINDS:
         for action in AUGMENT_ACTIONS:
-            out = augment(piece, only(kind, action, 0.0), rng)
-            assert out == piece
+            out = augment(record, only(kind, action, 0.0), rng)
+            assert out is record and record.piece is piece
+            assert (out.id, out.label, out.tokens, out.entities) == (piece.id, piece.label, piece.tokens, piece.entities)
 
 
 def test_p_one_drop_guard_leaves_one_token(rng):
     piece = make_piece("a", ("t1", "t2", "t3", "t4", "t5"))
-    out = augment(piece, only("word_level", "drop", 1.0), rng)
+    out = augment(make_record(piece), only("word_level", "drop", 1.0), rng)
     assert len(out.tokens) == 1
     assert out.tokens[0] in piece.tokens
     assert out.label == piece.label and out.id == piece.id
@@ -51,7 +55,7 @@ def test_p_one_drop_guard_leaves_one_token(rng):
 
 def test_mask_preserves_length(rng):
     piece = make_piece("a", ("t1", "t2", "t3"), ("t2",))
-    out = augment(piece, only("word_level", "mask", 1.0), rng)
+    out = augment(make_record(piece), only("word_level", "mask", 1.0), rng)
     assert len(out.tokens) == len(piece.tokens)
     assert out.tokens == (MASK_TOKEN,) * 3
 
@@ -60,9 +64,9 @@ def test_word_level_selection_fraction():
     rng = np.random.default_rng(7)
     settings = only("word_level", "mask", 0.1)
     total = masked = 0
-    for i in range(500):
-        piece = make_piece(f"p{i}", tuple(f"t{j}" for j in range(20)))
-        out = augment(piece, settings, rng)
+    records = plan_records(make_piece(f"p{i}", tuple(f"t{j}" for j in range(20))) for i in range(500))
+    for record in records:
+        out = augment(record, settings, rng)
         total += 20
         masked += sum(t == MASK_TOKEN for t in out.tokens)
     assert total == 10000
@@ -71,14 +75,14 @@ def test_word_level_selection_fraction():
 
 def test_entity_level_hits_whole_span(rng):
     piece = make_piece("a", ("New", "York", "is", "big"), ("New York",))
-    out = augment(piece, only("entity_level", "mask", 1.0), rng)
+    out = augment(make_record(piece), only("entity_level", "mask", 1.0), rng)
     assert out.tokens == (MASK_TOKEN, MASK_TOKEN, "is", "big")
     assert out.entities == ()  # masked span no longer matches
 
 
 def test_entity_level_drop_removes_span_and_recomputes(rng):
     piece = make_piece("a", ("New", "York", "is", "big", "New", "York"), ("New York", "New York"))
-    out = augment(piece, only("entity_level", "drop", 1.0), rng)
+    out = augment(make_record(piece), only("entity_level", "drop", 1.0), rng)
     assert out.tokens == ("is", "big")
     assert out.entities == ()
 
@@ -86,21 +90,24 @@ def test_entity_level_drop_removes_span_and_recomputes(rng):
 def test_label_and_id_never_change():
     rng = np.random.default_rng(3)
     piece = make_piece("keep", ("a", "b", "c", "d"), ("b",), 1, 9)
+    record = make_record(piece)
     settings = AugmentSettings(probability=0.5)
     for _ in range(50):
-        out = augment(piece, settings, rng)
-        assert out.id == piece.id and out.label == piece.label and out.timestamp == piece.timestamp
+        out = augment(record, settings, rng)
+        assert out.id == piece.id and out.label == piece.label
+        # the source piece, timestamp included, is the record's untouched piece
+        assert (out if out is record else out.record) is record and record.piece is piece
 
 
 def test_external_entities_survive_editing(rng):
     piece = make_piece("a", ("x", "y"), ("external one",), 0, 0)
-    out = augment(piece, only("word_level", "drop", 1.0), rng)
+    out = augment(make_record(piece), only("word_level", "drop", 1.0), rng)
     assert "external one" in out.entities
 
 
 def test_entity_spans_longest_leftmost():
-    spans = entity_spans(("a", "b", "c", "a"), {"a b", "a", "c"})
-    assert spans == [(0, 2), (2, 3), (3, 4)]
+    record = make_record(make_piece("s", ("a", "b", "c", "a"), ("a b", "a", "c")))
+    assert record.spans == ((0, 2), (2, 3), (3, 4))
 
 
 def test_recompute_entities_after_edit():
@@ -129,17 +136,18 @@ def drawn_kind_action(out):
 
 def test_kind_action_draw_deterministic_and_uniform():
     settings = AugmentSettings(probability=1.0)
+    (record,), encoders, (planned,) = make_plan([KIND_ACTION_PIECE])
     rng1 = np.random.default_rng(42)
     rng2 = np.random.default_rng(42)
-    seq1 = [augment(KIND_ACTION_PIECE, settings, rng1) for _ in range(20)]
-    seq2 = [augment(KIND_ACTION_PIECE, settings, rng2) for _ in range(20)]
+    seq1 = [snapshot(augment(record, settings, rng1), encoders, planned) for _ in range(20)]
+    seq2 = [snapshot(augment(record, settings, rng2), encoders, planned) for _ in range(20)]
     assert seq1 == seq2
 
     rng = np.random.default_rng(11)
     counts = {}
     n = 10000
     for _ in range(n):
-        key = drawn_kind_action(augment(KIND_ACTION_PIECE, settings, rng))
+        key = drawn_kind_action(augment(record, settings, rng))
         counts[key] = counts.get(key, 0) + 1
     assert len(counts) == 4
     for count in counts.values():
@@ -147,11 +155,12 @@ def test_kind_action_draw_deterministic_and_uniform():
 
 
 def test_kind_action_restriction(rng):
+    record = make_record(KIND_ACTION_PIECE)
     for _ in range(20):
-        out = augment(KIND_ACTION_PIECE, AugmentSettings(probability=1.0, kinds=("word_level",)), rng)
+        out = augment(record, AugmentSettings(probability=1.0, kinds=("word_level",)), rng)
         assert drawn_kind_action(out)[0] == "word_level"
     for _ in range(20):
-        out = augment(KIND_ACTION_PIECE, AugmentSettings(probability=1.0, actions=("mask",)), rng)
+        out = augment(record, AugmentSettings(probability=1.0, actions=("mask",)), rng)
         assert drawn_kind_action(out)[1] == "mask"
 
 
@@ -224,6 +233,19 @@ def random_piece(rng, i):
     return make_piece(f"p{i}", tokens, entities, int(rng.integers(2)), i)
 
 
+# masking position 0 makes a new "[MASK] x" there, although the mask touches no span: every mask rescans
+MASK_FORM_PIECE = make_piece("m0", ("y", "x", MASK_TOKEN, "x"), (f"{MASK_TOKEN} x",), 1, 0)
+
+
+def mask_form_piece(rng, i):
+    """1-8 tokens over x, y and [MASK]; in-text entities, some containing [MASK], so masking can create a match."""
+    words = ("x", "y", MASK_TOKEN)
+    tokens = tuple(words[k] for k in rng.integers(0, len(words), int(rng.integers(1, 9))))
+    candidates = (f"{MASK_TOKEN} x", "x", "y y")
+    entities = [e for e in candidates if contains_subsequence(tokens, e.split()) and rng.random() < 0.7]
+    return make_piece(f"m{i}", tokens, entities, int(rng.integers(2)), i)
+
+
 REFERENCE_SETTINGS = (
     AugmentSettings(),
     AugmentSettings(probability=0.5),
@@ -242,13 +264,19 @@ def test_augment_matches_reference_stream():
     for seed in range(40):
         data_rng = np.random.default_rng(1000 + seed)
         pieces = [random_piece(data_rng, i) for i in range(30)]
+        form_rng = np.random.default_rng(2000 + seed)
+        pieces += [MASK_FORM_PIECE] + [mask_form_piece(form_rng, i) for i in range(1, 10)]
+        records, encoders, planned = make_plan(pieces)
         for settings in REFERENCE_SETTINGS:
             rng = np.random.default_rng(seed)
             ref_rng = np.random.default_rng(seed)
-            for piece in pieces:
-                out = augment(piece, settings, rng)
+            for piece, record, ids in zip(pieces, records, planned):
+                out = augment(record, settings, rng)
                 expect = reference_augment(piece, settings, ref_rng, seen)
-                assert out == expect
+                assert (out is record) == (expect is piece)
+                assert (out if out is record else out.record) is record and record.piece is piece
+                expect_ids = {name: input_ids(enc, expect, MAX_SEQ_LEN).tolist() for name, enc in encoders.items()}
+                assert snapshot(out, encoders, ids) == (expect.id, expect.label, expect.tokens, expect.entities, expect_ids)
                 assert rng.bit_generator.state == ref_rng.bit_generator.state
     kinds_actions = {(k, a) for k in AUGMENT_KINDS for a in AUGMENT_ACTIONS}
     assert kinds_actions | {"fallback"} <= seen

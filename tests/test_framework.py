@@ -72,6 +72,14 @@ def test_fused_forward_zero_logits_give_half():
     assert logits(model.detector, [piece]) == [0.0] and entity_logits(model, [piece]) == [0.0]
 
 
+def test_fusion_weights_are_range_checked_and_nan_is_rejected():
+    vocab = tiny_vocab()
+    spec = tiny_spec(BAG_OF_EMBEDDINGS)
+    for weights in ({"beta": math.nan}, {"beta": -0.1}, {"alpha": math.nan}, {"alpha": 1.5}):
+        with pytest.raises(ModelError):
+            make_endef_model(spec, spec, vocab, **weights)
+
+
 def test_alpha_one_ignores_entity_branch():
     model = small_model(alpha=1.0)
     force_logits(model, 2.5, -40.0)

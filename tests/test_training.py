@@ -16,22 +16,26 @@ from endef.experiments import (
     split_for,
     unbiased_spec,
 )
-from endef.framework import input_ids, make_endef_model
-from endef.models import BAG_OF_EMBEDDINGS, CONV_NGRAM, EncoderSpec, ScalarModel
+from endef.framework import branches, input_ids, loss_total, make_endef_model, score
+from endef.metrics import PredictionSet, f1_scores
+from endef.models import BAG_OF_EMBEDDINGS, CONV_NGRAM, AdamState, EncoderSpec, ScalarModel, adam_step
 from endef.payload import from_fields
 from endef.synthetic import BiasSpec, generate
 from endef.training import (
     AugmentSettings,
     TrainConfig,
     TrainingError,
+    _rng_streams,
     evaluate_model,
     grid_search_alpha,
+    labels_of,
     train,
     truncate_piece,
 )
-from endef.vocab import build_vocabulary
+from endef.vocab import MASK_TOKEN, Vocabulary, build_vocabulary
 
 from conftest import make_piece
+from test_augmentation import REFERENCE_SETTINGS, reference_augment
 
 
 def tiny_setup(seed=0, det_kind=BAG_OF_EMBEDDINGS, n_train=120):
@@ -166,9 +170,112 @@ def test_augment_disabled_consumes_no_randomness():
     settings = AugmentSettings(enabled=False, probability=1.0)
     rng = np.random.default_rng(4)
     state = rng.bit_generator.state
-    for piece in split.train:
-        assert aug.augment(piece, settings, rng) is piece
+    records = aug.plan_records(split.train)
+    for record in records:
+        assert aug.augment(record, settings, rng) is record
     assert rng.bit_generator.state == state
+
+
+def reference_train(model, split, cfg):
+    """The loop before the per-piece plan: augment each truncated piece, then `loss_total` re-encodes the batch."""
+    encoders = branches(model)
+    opts = {name: AdamState.zeros(enc.num_params) for name, enc in encoders.items()}
+    shuffle_rng, augment_rng = _rng_streams(cfg.seed)
+    train_pieces = [truncate_piece(p, cfg.max_len) for p in split.train]
+    val_labels = labels_of(split.validation)
+    n = len(train_pieces)
+    best_metric = -math.inf
+    best_params = {name: enc.params.copy() for name, enc in encoders.items()}
+    bad_epochs = 0
+    history = []
+    step = 0
+    for epoch in range(1, cfg.max_epochs + 1):
+        order = shuffle_rng.permutation(n)
+        loss_sum = 0.0
+        for start in range(0, n, cfg.batch_size):
+            batch_idx = order[start : start + cfg.batch_size]
+            batch = [reference_augment(train_pieces[i], cfg.augment, augment_rng, set()) for i in batch_idx]
+            step += 1
+            loss, grads = loss_total(model, batch, cfg.max_len, cfg.stop_grad_entity_from_overall)
+            for name, enc in encoders.items():
+                enc.params = adam_step(enc.params, grads[name], opts[name], cfg.lr, step)
+            loss_sum += loss * len(batch_idx)
+        val_macf1 = f1_scores(PredictionSet(score(model, split.validation, cfg.max_len), val_labels)).macf1
+        improved = val_macf1 > best_metric
+        history.append({"epoch": epoch, "train_loss": loss_sum / n, "val_macf1": val_macf1, "improved": improved})
+        if improved:
+            best_metric = val_macf1
+            best_params = {name: enc.params.copy() for name, enc in encoders.items()}
+            bad_epochs = 0
+        else:
+            bad_epochs += 1
+            if bad_epochs >= cfg.patience:
+                break
+    for name, enc in encoders.items():
+        enc.params = best_params[name]
+    return history
+
+
+def oracle_split():
+    """A small synthetic split whose train part also holds the pieces that ids derived from the plan must get right.
+
+    - "[MASK] x" is in the text of four pieces, so masking position 0 creates a new match outside every span;
+    - the external "q r" becomes contiguous when a drop removes the token between, also after a cut;
+    - "ent a" and "ent  a" are two spellings of one token tuple;
+    - most pieces are longer than the oracle's max_len of 5.
+    """
+    split, *_ = tiny_setup(n_train=60)
+    extra = [make_piece(f"x-mask{i}", ("y", "x", MASK_TOKEN, "x"), (f"{MASK_TOKEN} x",), i % 2, 1) for i in range(4)]
+    extra += [
+        make_piece("x-join", ("q", "z", "r", "x"), ("q r",), 0, 2),
+        make_piece("x-spell", ("ent", "a", "w", "ent", "a", "y", "z"), ("ent a", "ent  a", "ent a"), 1, 3),
+        make_piece("x-join-long", ("x", "q", "z", "r", "y", "y", "x"), ("q r", "x", "x"), 0, 4),
+    ]
+    return SplitResult(Corpus(tuple(split.train) + tuple(extra), name="train"), split.validation, split.test)
+
+
+def test_train_matches_reference_loop():
+    split = oracle_split()
+    assert sum(len(p.tokens) > 5 for p in split.train) > len(split.train) // 2
+    vocab = build_vocabulary(split.train, 1)
+    det_spec = EncoderSpec(BAG_OF_EMBEDDINGS, embed_dim=6, hidden_dim=8)
+    ent_spec = EncoderSpec(BAG_OF_EMBEDDINGS, embed_dim=4, hidden_dim=6)
+    models = {
+        "fused": lambda: make_endef_model(det_spec, ent_spec, vocab, seed=1),
+        "baseline": lambda: ScalarModel(det_spec, vocab, seed=1),
+        "entity-only": lambda: ScalarModel(ent_spec, vocab, seed=1, reads="entities"),
+    }
+    for settings in REFERENCE_SETTINGS:
+        for max_len in (5, 170):
+            cfg = TrainConfig(lr=2e-2, batch_size=16, max_epochs=2, patience=2, seed=4, max_len=max_len, augment=settings)
+            for name, make in models.items():
+                if max_len == 170 and name != "fused":
+                    continue
+                model, reference = make(), make()
+                result = train(model, split, cfg)
+                history = reference_train(reference, split, cfg)
+                assert result.history == history, (name, max_len, settings)
+                for branch, enc in branches(model).items():
+                    assert enc.params.tobytes() == branches(reference)[branch].params.tobytes(), (name, branch, settings)
+
+
+def test_validation_is_encoded_once_per_run(monkeypatch):
+    # an entity reader cut to 3 tokens: scoring validation pieces afresh would re-truncate and re-encode each every epoch
+    split, vocab, det_spec, ent_spec, cfg = tiny_setup()
+    calls = []
+    real_encode = Vocabulary.encode_entities
+
+    def counting(self, entities, max_len=None):
+        calls.append(entities)
+        return real_encode(self, entities, max_len)
+
+    monkeypatch.setattr(Vocabulary, "encode_entities", counting)
+    model = ScalarModel(ent_spec, vocab, seed=0, reads="entities")
+    cfg = replace(cfg, max_epochs=3, patience=3, max_len=3, augment=AugmentSettings(enabled=False))
+    result = train(model, split, cfg)
+    assert len(result.history) == 3
+    # the plan encodes each training piece once and validation each of its pieces once
+    assert len(calls) == len(split.train) + len(split.validation)
 
 
 def test_vocabulary_from_train_split_only():
