@@ -11,7 +11,6 @@ verification.
 
 __version__ = "0.1.0"
 
-from .augmentation import augment
 from .corpus import (
     Corpus,
     CorpusError,

@@ -86,10 +86,13 @@ def input_ids(encoder, piece, max_len):
     """The ids an encoder reads from a piece cut to max_len: its tokens, or the entities left in them.
 
     Training, validation and scoring all go through here, so a long piece's
-    entity mentions are recounted on its truncated tokens wherever it is read.
+    entity mentions are recounted on its truncated tokens wherever it is read,
+    and an entity reader refuses a piece whose entities were never recognized.
     """
     if encoder.reads == "tokens":
         return encoder.vocab.encode_tokens(piece.tokens, max_len)
+    if piece.needs_recognition:
+        raise ModelError(f"piece {piece.id!r} has no recognized entities; run recognition first")
     return encoder.vocab.encode_entities(truncate_piece(piece, max_len).entities, max_len)
 
 
@@ -116,7 +119,8 @@ def sample_ids(encoder, planned, sample, max_len):
     masked positions, or only the kept positions left: training pieces are
     cut to max_len before they are planned, so their token ids line up with
     their tokens. An entity reader's ids are re-encoded only when the edit
-    changed the entity list.
+    changed the entity list; an edit never lengthens a planned piece, so
+    there is nothing left to truncate.
     """
     if not isinstance(sample, Sample):
         return planned
@@ -128,13 +132,14 @@ def sample_ids(encoder, planned, sample, max_len):
         return ids
     if sample.entities == sample.record.entities:
         return planned
-    return input_ids(encoder, sample, max_len)
+    return encoder.vocab.encode_entities(sample.entities, max_len)
 
 
 def loss_total(model, batch, max_len=MAX_SEQ_LEN, stop_grad_entity_from_overall=False, ids=None):
     """Mean fused loss plus beta times mean entity loss, with gradients for every branch.
 
-    Returns (loss, grads) with grads keyed like `branches(model)`. The fused
+    Returns (loss, grads) with grads keyed like `branches(model)`, each
+    branch's `models.SparseGrad` as its backward pass gives it. The fused
     term backpropagates into both branches (the fusion couples them); the
     auxiliary entity term touches only the entity branch. With
     stop_grad_entity_from_overall the fused term's gradient into the entity
@@ -179,9 +184,7 @@ def loss_total(model, batch, max_len=MAX_SEQ_LEN, stop_grad_entity_from_overall=
             if not stop_grad_entity_from_overall:
                 up_ent += (1.0 - alpha) * residual * inv
             upstream["entity"].append(up_ent)
-    grads = {name: np.zeros_like(enc.params) for name, enc in encoders.items()}
-    for name, enc in encoders.items():
-        enc._backward_from_cache(passes[name][1], upstream[name]).add_to(grads[name], enc.layout)
+    grads = {name: enc._backward_from_cache(passes[name][1], upstream[name]) for name, enc in encoders.items()}
     loss = total_overall * inv + beta * (total_entity * inv)
     return loss, grads
 
@@ -270,7 +273,10 @@ def save_checkpoint(model, path, max_len=MAX_SEQ_LEN, scale_by_alpha=False):
     else:
         raise ModelError(f"cannot checkpoint object of type {type(model).__name__}")
     payload["inference"] = {"max_len": int(max_len), "scale_by_alpha": bool(scale_by_alpha)}
-    Path(path).write_text(json.dumps(payload, sort_keys=True) + "\n", encoding="utf-8")
+    # streamed: building the whole text first would hold the checkpoint in memory twice more
+    with Path(path).open("w", encoding="utf-8") as fh:
+        json.dump(payload, fh, sort_keys=True)
+        fh.write("\n")
 
 
 def _load_encoder(payload, name, reads="tokens"):

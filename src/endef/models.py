@@ -114,17 +114,13 @@ class SparseGrad(NamedTuple):
     """A batch's parameter gradient: dense after the embedding table, summed rows for the ids it read.
 
     `embed` is the first tensor of every layout, so `tail` covers the flat
-    slice `[embed_end:]`; `rows[k]` is the gradient of embedding row `ids[k]`.
+    slice `[embed_end:]`; `rows[k]` is the gradient of embedding row `ids[k]`,
+    and `ids` is sorted and unique. Rows the batch never read have gradient 0.
     """
 
     tail: np.ndarray
     ids: np.ndarray
     rows: np.ndarray
-
-    def add_to(self, dense, layout):
-        """Accumulate into a dense gradient; rows the batch never read get no addition."""
-        dense[layout.slices["embed"][1] :] += self.tail
-        layout.view(dense, "embed")[self.ids] += self.rows
 
 
 def _build_layout(spec, vocab_size):
@@ -236,8 +232,10 @@ class ScalarModel:
     def backward(self, token_ids, upstream_grad):
         """d(logit)/d(params) scaled by upstream_grad, as a flat vector."""
         _, cache = self._forward_cache([token_ids])
+        grad = self._backward_from_cache(cache, [upstream_grad])
         grads = np.zeros_like(self.params)
-        self._backward_from_cache(cache, [upstream_grad]).add_to(grads, self.layout)
+        grads[self.layout.slices["embed"][1] :] = grad.tail
+        self.layout.view(grads, "embed")[grad.ids] = grad.rows
         return grads
 
     def _backward_from_cache(self, cache, upstream_grad):
@@ -294,7 +292,8 @@ class ScalarModel:
             "spec": asdict(self.spec),
             # not asdict: it would deep-copy every token string of a large vocabulary
             "vocab": {"tokens": self.vocab.tokens},
-            "params": base64.b64encode(self.params.astype("<f8", copy=False).tobytes()).decode("ascii"),
+            # the array's own buffer: .tobytes() would copy the parameters once more
+            "params": base64.b64encode(self.params.astype("<f8", copy=False)).decode("ascii"),
         }
 
     @classmethod
@@ -331,39 +330,32 @@ def _decode_params(text):
 
 @dataclass
 class AdamState:
-    """First and second moment accumulators for one flat parameter vector."""
+    """First and second moment accumulators for one flat parameter vector.
+
+    `rows` is the touched mark: embedding rows `[0, rows)` cover every row
+    that any gradient so far has read. Above it, every moment is still 0.
+    """
 
     m: np.ndarray
     v: np.ndarray
+    rows: int = 0
 
     @classmethod
     def zeros(cls, n):
         return cls(np.zeros(n, dtype=np.float64), np.zeros(n, dtype=np.float64))
 
 
-def adam_step(params, grads, state, lr, t):
-    """One bias-corrected Adam update; returns new params, mutates state moments.
+def _adam_update(params, grads, ms, vs, lr, t):
+    """The textbook bias-corrected update of one contiguous slice, in place.
 
-    `t` is the 1-based step count. Non-finite gradients abort training
-    rather than silently corrupting the parameters.
+    Block by block, in the order of the textbook update: m, v, then
+    lr * m_hat / (sqrt(v_hat) + eps), then params minus that.
     """
-    if lr <= 0:
-        raise ModelError("learning rate must be positive")
-    if t < 1:
-        raise ModelError("step count must be >= 1")
-    grads = np.asarray(grads, dtype=np.float64)
-    if grads.shape != params.shape:
-        raise ModelError("gradient/parameter shape mismatch")
-    if not np.all(np.isfinite(grads)):
-        raise ModelError("non-finite gradient; training diverged")
-    out = np.empty_like(params)
     scratch = np.empty(min(ADAM_BLOCK, params.size))
     denom = np.empty_like(scratch)
-    # block by block, in place, in the order of the textbook update:
-    # m, v, then lr * m_hat / (sqrt(v_hat) + eps), then params minus that
     for start in range(0, params.size, ADAM_BLOCK):
         block = slice(start, start + ADAM_BLOCK)
-        g, m, v = grads[block], state.m[block], state.v[block]
+        g, m, v = grads[block], ms[block], vs[block]
         s, den = scratch[: g.size], denom[: g.size]
         np.multiply(g, 1.0 - ADAM_BETA1, out=s)
         m *= ADAM_BETA1
@@ -378,5 +370,39 @@ def adam_step(params, grads, state, lr, t):
         np.divide(m, 1.0 - ADAM_BETA1**t, out=s)
         s *= lr
         s /= den
-        np.subtract(params[block], s, out=out[block])
+        params[block] -= s
+
+
+def adam_step(params, grad, state, lr, t):
+    """One bias-corrected Adam update from a batch's `SparseGrad`; returns new params, mutates `state`.
+
+    `t` is the 1-based step count. The step raises `state.rows` past the
+    batch's largest id, then updates the embedding rows below it (a row the
+    batch did not read gets gradient 0) and the dense tail. Above the mark
+    every moment and gradient is 0, and the update leaves such an entry bit
+    for bit as it is (p - 0.0 is p, also for -0.0), so skipping it gives the
+    dense update's result. Non-finite gradients abort training rather than
+    silently corrupting the parameters.
+    """
+    if lr <= 0:
+        raise ModelError("learning rate must be positive")
+    if t < 1:
+        raise ModelError("step count must be >= 1")
+    tail, ids, rows = (np.asarray(a) for a in grad)
+    embed_end = params.size - tail.size
+    if tail.ndim != 1 or embed_end < 0 or rows.ndim != 2 or rows.shape[0] != ids.size:
+        raise ModelError("gradient/parameter shape mismatch")
+    d = rows.shape[1]
+    if ids.size and (d < 1 or embed_end % d or ids.min() < 0 or (ids.max() + 1) * d > embed_end):
+        raise ModelError("gradient rows lie outside the embedding table")
+    if not (np.isfinite(tail).all() and np.isfinite(rows).all()):
+        raise ModelError("non-finite gradient; training diverged")
+    if ids.size:
+        state.rows = max(state.rows, int(ids.max()) + 1)
+    prefix = state.rows * d
+    g = np.zeros(prefix)
+    g.reshape(state.rows, d)[ids] = rows
+    out = params.copy()
+    _adam_update(out[:prefix], g, state.m[:prefix], state.v[:prefix], lr, t)
+    _adam_update(out[embed_end:], tail, state.m[embed_end:], state.v[embed_end:], lr, t)
     return out

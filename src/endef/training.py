@@ -176,8 +176,6 @@ def train(model, split, cfg):
                 raise TrainingError(f"epoch {epoch}, batch {start // cfg.batch_size + 1}: {exc}") from exc
             for name, enc in encoders.items():
                 enc.params = adam_step(enc.params, grads[name], opts[name], cfg.lr, step)
-            # dense gradients are parameter-sized; free them before the next batch allocates its own
-            del grads
             loss_sum += loss * len(batch_idx)
         val_scores = probabilities(encoded_logits(encoders["detector"], val_ids))
         val_macf1 = f1_scores(PredictionSet(val_scores, val_labels)).macf1

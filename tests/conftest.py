@@ -41,6 +41,14 @@ def finite_difference(loss_fn, params, h=1e-4):
     return grad
 
 
+def dense_grad(grad, encoder):
+    """An encoder's `SparseGrad` as the dense gradient over its flat parameters."""
+    dense = np.zeros_like(encoder.params)
+    dense[encoder.layout.slices["embed"][1] :] += grad.tail
+    encoder.layout.view(dense, "embed")[grad.ids] += grad.rows
+    return dense
+
+
 def max_relative_error(analytic, numeric, floor=1e-6):
     analytic = np.asarray(analytic)
     numeric = np.asarray(numeric)

@@ -29,7 +29,7 @@ from endef.synthetic import generate
 from endef.training import TrainConfig, train
 from endef.vocab import SPECIAL_TOKENS, Vocabulary, build_vocabulary
 
-from conftest import finite_difference, make_piece, relu_safety_margin
+from conftest import dense_grad, finite_difference, make_piece, relu_safety_margin
 from test_metrics import pairwise_auc_oracle, spauc_fine_grid_oracle
 
 # half the pilot-measured 10-seed gaps, frozen before this suite was finalized
@@ -97,7 +97,7 @@ def test_criterion_1_gradient_correctness():
         _, grads = loss_total(model, batch)
         for branch_name, branch in (("detector", model.detector), ("entity", model.entity_model)):
             numeric = finite_difference(lambda: loss_total(model, batch)[0], branch.params, h=FD_STEP)
-            analytic = grads[branch_name]
+            analytic = dense_grad(grads[branch_name], branch)
             denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-6)
             rel = np.max(np.abs(analytic - numeric) / denom)
             worst = max(worst, float(rel))

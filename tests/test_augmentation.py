@@ -60,6 +60,17 @@ def test_mask_preserves_length(rng):
     assert out.tokens == (MASK_TOKEN,) * 3
 
 
+def test_package_root_re_exports_no_augment_that_needs_a_plan(rng):
+    """`augment` edits a planned record, so the package root does not offer it for a piece."""
+    import endef
+
+    with pytest.raises(ImportError):
+        from endef import augment as _  # noqa: F401
+    piece = make_piece("a", ("t1", "t2", "t3"), ("t2",))
+    out = endef.augmentation.augment(endef.augmentation.plan_records([piece])[0], only("word_level", "mask", 1.0), rng)
+    assert out.tokens == (MASK_TOKEN,) * 3
+
+
 def test_word_level_selection_fraction():
     rng = np.random.default_rng(7)
     settings = only("word_level", "mask", 0.1)

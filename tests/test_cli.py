@@ -1,6 +1,7 @@
 import base64
 import json
 import re
+from dataclasses import replace
 
 import pytest
 
@@ -562,6 +563,80 @@ def test_grid_alpha_command(spec_file, tmp_path, capsys):
     assert len(lines) == 12
     best = json.loads((out / "best_alpha.json").read_text())
     assert best["alpha"] == 1.0
+
+
+@pytest.fixture(scope="module")
+def unrecognized_split_dir(shared_split_dir, tmp_path_factory):
+    """The shared split with every piece's entities removed, as a corpus loads before `endef recognize`."""
+    out = tmp_path_factory.mktemp("unrecognized")
+    for part in ("train", "val", "test"):
+        corpus = load_corpus(shared_split_dir / f"{part}.jsonl")
+        pieces = (replace(p, entities=(), needs_recognition=True) for p in corpus)
+        save_corpus(Corpus(tuple(pieces), name=corpus.name), out / f"{part}.jsonl")
+    return out
+
+
+NO_ENTITIES = "has no recognized entities; run recognition first"
+SINGLE_ENCODER = "case-report needs a fused endef_model checkpoint"
+
+
+# (mode, command, error on recognized pieces, error on unrecognized pieces); None: the command runs
+MODE_COMMAND_CELLS = [
+    ("endef", "train", None, NO_ENTITIES),
+    ("baseline", "train", None, None),
+    ("entity-only", "train", None, NO_ENTITIES),
+    ("endef", "evaluate", None, None),
+    ("baseline", "evaluate", None, None),
+    ("entity-only", "evaluate", None, NO_ENTITIES),
+    ("endef", "case-report", None, NO_ENTITIES),
+    ("baseline", "case-report", SINGLE_ENCODER, SINGLE_ENCODER),
+    ("entity-only", "case-report", SINGLE_ENCODER, SINGLE_ENCODER),
+    ("endef", "grid-alpha", None, NO_ENTITIES),
+]
+
+
+@pytest.mark.parametrize(
+    "mode, command, recognized_error, unrecognized_error",
+    MODE_COMMAND_CELLS,
+    ids=[f"{mode}-{command}" for mode, command, *_ in MODE_COMMAND_CELLS],
+)
+def test_every_mode_and_command_on_recognized_and_unrecognized_pieces(
+    shared_split_dir, unrecognized_split_dir, tmp_path, capsys, mode, command, recognized_error, unrecognized_error
+):
+    """Each cell writes its artifacts, or exits 1 with an `error:` line naming the problem; an entity reader needs recognized pieces."""
+    config = _write_config(tmp_path / "config.json", max_epochs=1)
+    checkpoint = tmp_path / "trained" / "checkpoint.json"
+    if command in ("evaluate", "case-report"):
+        assert run_cli(
+            "train",
+            "--train", shared_split_dir / "train.jsonl",
+            "--val", shared_split_dir / "val.jsonl",
+            "--config", config,
+            "--mode", mode,
+            "--out-dir", checkpoint.parent,
+        ) == 0
+        capsys.readouterr()
+    artifacts = {
+        "train": ["checkpoint.json", "history.jsonl", "provenance.json"],
+        "evaluate": ["report.json", "report.txt", "provenance.json"],
+        "case-report": ["cases.jsonl", "provenance.json"],
+        "grid-alpha": ["alpha_grid.tsv", "best_alpha.json", "provenance.json"],
+    }[command]
+    for split_dir, error in ((shared_split_dir, recognized_error), (unrecognized_split_dir, unrecognized_error)):
+        out = tmp_path / f"{split_dir.name}-{command}"
+        if command in ("train", "grid-alpha"):
+            args = ["--train", split_dir / "train.jsonl", "--val", split_dir / "val.jsonl", "--config", config]
+            args += ["--mode", mode] if command == "train" else []
+        else:
+            args = ["--checkpoint", checkpoint, "--corpus", split_dir / "test.jsonl"]
+        code = run_cli(command, *args, "--out-dir", out)
+        err = capsys.readouterr().err
+        if error is None:
+            assert code == 0, err
+            assert all((out / name).is_file() for name in artifacts)
+        else:
+            assert code == 1
+            assert err.startswith("error:") and error in err and "Traceback" not in err, err
 
 
 def test_case_report_on_single_encoder_checkpoint_fails_cleanly(spec_file, tmp_path, capsys):

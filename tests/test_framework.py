@@ -1,3 +1,4 @@
+import base64
 import json
 import math
 from dataclasses import asdict
@@ -31,6 +32,7 @@ from endef.models import (
 from endef.training import evaluate_model
 
 from conftest import (
+    dense_grad,
     finite_difference,
     make_piece,
     max_relative_error,
@@ -144,8 +146,8 @@ def test_loss_total_decomposition_identity():
 def test_loss_total_alpha_one_beta_zero_entity_gradient_is_zero():
     model = small_model(alpha=1.0, beta=0.0)
     _, grads = loss_total(model, sample_batch()[:1])
-    assert np.all(grads["entity"] == 0.0)
-    assert np.any(grads["detector"] != 0.0)
+    assert np.all(dense_grad(grads["entity"], model.entity_model) == 0.0)
+    assert np.any(dense_grad(grads["detector"], model.detector) != 0.0)
 
 
 def test_loss_total_empty_batch_rejected():
@@ -178,7 +180,11 @@ def test_loss_total_gradient_matches_finite_differences_all_kind_pairs():
         _, grads = loss_total(model, batch)
         for branch_name, branch in (("detector", model.detector), ("entity", model.entity_model)):
             numeric = finite_difference(lambda: loss_total(model, batch)[0], branch.params)
-            assert max_relative_error(grads[branch_name], numeric) < 1e-4, (det_kind, ent_kind, branch_name)
+            assert max_relative_error(dense_grad(grads[branch_name], branch), numeric) < 1e-4, (
+                det_kind,
+                ent_kind,
+                branch_name,
+            )
     # a single encoder is the same objective with no entity branch, on either input view
     for kind in (BAG_OF_EMBEDDINGS, CONV_NGRAM):
         for reads in ("tokens", "entities"):
@@ -193,15 +199,15 @@ def test_loss_total_gradient_matches_finite_differences_all_kind_pairs():
             _, grads = loss_total(single, batch)
             assert set(grads) == {"detector"}
             numeric = finite_difference(lambda: loss_total(single, batch)[0], single.params)
-            assert max_relative_error(grads["detector"], numeric) < 1e-4, (kind, reads)
+            assert max_relative_error(dense_grad(grads["detector"], single), numeric) < 1e-4, (kind, reads)
 
 
 def test_stop_grad_flag_suppresses_fused_path_into_entity_branch():
     model = small_model(alpha=0.5, beta=0.0, seed=6)
     _, grads = loss_total(model, sample_batch(), stop_grad_entity_from_overall=True)
-    assert np.all(grads["entity"] == 0.0)
+    assert np.all(dense_grad(grads["entity"], model.entity_model) == 0.0)
     _, grads_free = loss_total(model, sample_batch(), stop_grad_entity_from_overall=False)
-    assert np.any(grads_free["entity"] != 0.0)
+    assert np.any(dense_grad(grads_free["entity"], model.entity_model) != 0.0)
 
 
 def test_debiased_predict_detector_only():
@@ -375,6 +381,39 @@ def test_checkpoint_params_round_trip_bit_for_bit_and_writable(tmp_path):
             assert encoder.params.dtype == np.float64 and encoder.params.dtype.isnative
             assert encoder.params.flags.writeable
             encoder.params[0] += 1.0
+
+
+def test_checkpoint_bytes_equal_the_one_shot_text(tmp_path):
+    """The streamed writer gives the bytes of the whole text built at once, with params from `.tobytes()`."""
+
+    def encoder_payload(encoder):
+        return {
+            "format_version": 2,
+            "kind": "scalar_model",
+            "reads": encoder.reads,
+            "spec": asdict(encoder.spec),
+            "vocab": {"tokens": encoder.vocab.tokens},
+            "params": base64.b64encode(encoder.params.astype("<f8").tobytes()).decode("ascii"),
+        }
+
+    fused = small_model(seed=10, det_kind=CONV_NGRAM)
+    single = ScalarModel(tiny_spec(CONV_NGRAM), tiny_vocab(), seed=10, reads="entities")
+    payloads = [
+        {
+            "format_version": 2,
+            "kind": "endef_model",
+            "alpha": fused.alpha,
+            "beta": fused.beta,
+            "detector": encoder_payload(fused.detector),
+            "entity_model": encoder_payload(fused.entity_model),
+        },
+        encoder_payload(single),
+    ]
+    path = tmp_path / "model.json"
+    for model, payload in zip((fused, single), payloads):
+        save_checkpoint(model, path, max_len=7, scale_by_alpha=True)
+        payload["inference"] = {"max_len": 7, "scale_by_alpha": True}
+        assert path.read_bytes() == (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
 
 
 def test_format_1_checkpoint_loads_with_documented_defaults(tmp_path):

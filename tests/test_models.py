@@ -14,12 +14,13 @@ from endef.models import (
     EncoderSpec,
     ModelError,
     ScalarModel,
+    SparseGrad,
     adam_step,
     binary_cross_entropy,
     sigmoid,
 )
 
-from conftest import finite_difference, max_relative_error, relu_safety_margin, tiny_spec, tiny_vocab
+from conftest import dense_grad, finite_difference, max_relative_error, relu_safety_margin, tiny_spec, tiny_vocab
 
 
 def test_spec_validation():
@@ -290,9 +291,7 @@ def per_sample_reference(model, batch, upstream):
 
 def batched(model, batch, upstream):
     logits, cache = model._forward_cache(batch)
-    grads = np.zeros_like(model.params)
-    model._backward_from_cache(cache, upstream).add_to(grads, model.layout)
-    return logits, grads
+    return logits, dense_grad(model._backward_from_cache(cache, upstream), model)
 
 
 # batching reorders sums, so it matches the per-document path to rounding only
@@ -415,10 +414,24 @@ def test_backward_matches_finite_differences_both_kinds():
         checked += 1
 
 
+def no_table(grads):
+    """A dense gradient as the `SparseGrad` of a layout with no embedding table."""
+    return SparseGrad(np.asarray(grads, dtype=np.float64), np.zeros(0, dtype=np.intp), np.zeros((0, 0)))
+
+
+def textbook_adam(params, grads, m, v, lr, t):
+    """The dense bias-corrected Adam update over every entry: (params, m, v)."""
+    m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grads
+    v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grads**2
+    m_hat = m / (1.0 - ADAM_BETA1**t)
+    v_hat = v / (1.0 - ADAM_BETA2**t)
+    return params - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS), m, v
+
+
 def test_adam_zero_gradient_leaves_params_unchanged():
     params = np.array([1.0, -2.0, 3.0])
     state = AdamState.zeros(3)
-    out = adam_step(params, np.zeros(3), state, lr=0.1, t=1)
+    out = adam_step(params, no_table(np.zeros(3)), state, lr=0.1, t=1)
     assert np.array_equal(out, params)
 
 
@@ -430,7 +443,7 @@ def test_adam_constant_gradient_closed_form():
     state = AdamState.zeros(2)
     lr = 0.01
     for t in range(1, 20):
-        new = adam_step(params, g, state, lr, t)
+        new = adam_step(params, no_table(g), state, lr, t)
         step = params - new
         expect = lr * g / (np.abs(g) + ADAM_EPS)
         assert np.allclose(step, expect, rtol=1e-12, atol=0)
@@ -439,9 +452,26 @@ def test_adam_constant_gradient_closed_form():
 
 
 def test_adam_rejects_non_finite_gradient():
-    state = AdamState.zeros(2)
-    with pytest.raises(ModelError, match="non-finite"):
-        adam_step(np.zeros(2), np.array([np.nan, 0.0]), state, 0.1, 1)
+    # in the dense tail
+    for bad in (np.nan, np.inf, -np.inf):
+        state = AdamState.zeros(2)
+        with pytest.raises(ModelError, match="non-finite"):
+            adam_step(np.zeros(2), no_table([bad, 0.0]), state, 0.1, 1)
+
+
+def test_adam_rejects_non_finite_row_gradient():
+    # 3 embedding rows of width 2, then a tail of 2
+    for bad in (np.nan, np.inf, -np.inf):
+        state = AdamState.zeros(8)
+        grad = SparseGrad(np.zeros(2), np.array([1]), np.array([[0.5, bad]]))
+        with pytest.raises(ModelError, match="non-finite"):
+            adam_step(np.zeros(8), grad, state, 0.1, 1)
+
+
+def test_adam_rejects_rows_outside_the_table():
+    for ids, rows in (([3], [[1.0, 1.0]]), ([-1], [[1.0, 1.0]]), ([0, 1], [[1.0, 1.0]])):
+        with pytest.raises(ModelError):
+            adam_step(np.zeros(8), SparseGrad(np.zeros(2), np.array(ids), np.array(rows)), AdamState.zeros(8), 0.1, 1)
 
 
 def test_adam_trajectories_bit_identical():
@@ -451,7 +481,7 @@ def test_adam_trajectories_bit_identical():
         state = AdamState.zeros(10)
         for t in range(1, 50):
             grads = rng.normal(size=10)
-            params = adam_step(params, grads, state, 3e-3, t)
+            params = adam_step(params, no_table(grads), state, 3e-3, t)
         return params
 
     assert np.array_equal(run(), run())
@@ -466,14 +496,49 @@ def test_adam_blocked_update_equals_textbook_update():
     lr = 3e-3
     for t in range(1, 6):
         grads = rng.normal(size=n)
-        params = adam_step(params, grads, state, lr, t)
-        m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grads
-        v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grads**2
-        m_hat = m / (1.0 - ADAM_BETA1**t)
-        v_hat = v / (1.0 - ADAM_BETA2**t)
-        expect = expect - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        params = adam_step(params, no_table(grads), state, lr, t)
+        expect, m, v = textbook_adam(expect, grads, m, v, lr, t)
         assert np.array_equal(params, expect)
         assert np.array_equal(state.m, m) and np.array_equal(state.v, v)
+
+
+# the ids each step's batch reads, per case: row 5 is first read at step 2;
+# row 3 gets a zero gradient at step 3 and rows 0 and 3 are absent from
+# later batches; step 3's and step 5's ids all lie below the mark; step 4
+# raises the mark to the whole table, across Adam blocks
+ROW_SCHEDULE = ([0, 3], [5, 7], [2, 3], [-1], [1, 4], [])
+
+
+@pytest.mark.parametrize("n_rows, d, n_tail", [(2 * ADAM_BLOCK // 8 + 50, 8, 777), (0, 0, 2 * ADAM_BLOCK + 5)])
+def test_sparse_adam_equals_textbook_dense_update(n_rows, d, n_tail):
+    rng = np.random.default_rng(21)
+    embed_end = n_rows * d
+    params = rng.normal(size=embed_end + n_tail)
+    if n_rows:
+        # untouched rows holding -0.0 keep their sign bit: -0.0 - 0.0 is -0.0
+        params[6 * d : 7 * d] = -0.0
+        params[100 * d : 200 * d] = -0.0
+    state = AdamState.zeros(params.size)
+    expect, m, v = params.copy(), np.zeros(params.size), np.zeros(params.size)
+    lr = 3e-3
+    mark = 0
+    for t, step_ids in enumerate(ROW_SCHEDULE if n_rows else [[]] * 6, start=1):
+        ids = np.array(sorted(i % n_rows for i in step_ids), dtype=np.intp)
+        rows = rng.normal(size=(ids.size, d))
+        rows[ids == 3] = 0.0
+        grad = SparseGrad(rng.normal(size=n_tail), ids, rows)
+        dense = np.zeros(params.size)
+        dense[embed_end:] = grad.tail
+        dense[:embed_end].reshape(n_rows, d)[ids] = rows
+        params = adam_step(params, grad, state, lr, t)
+        expect, m, v = textbook_adam(expect, dense, m, v, lr, t)
+        mark = max([mark, *(ids + 1)])
+        assert state.rows == mark
+        assert np.array_equal(params, expect) and params.tobytes() == expect.tobytes()
+        assert np.array_equal(state.m, m) and np.array_equal(state.v, v)
+        assert state.m.tobytes() == m.tobytes() and state.v.tobytes() == v.tobytes()
+    if n_rows:
+        assert np.signbit(params[100 * d : 200 * d]).all() and np.signbit(params[6 * d : 7 * d]).all()
 
 
 def test_checkpoint_payload_round_trip():
