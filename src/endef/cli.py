@@ -91,8 +91,8 @@ def cmd_synthesize(args):
     spec = BiasSpec.from_file(args.spec)
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)
-    out = _out_dir(args)
     corpus, ledger = generate(spec)
+    out = _out_dir(args)
     save_corpus(corpus, out / "corpus.jsonl")
     export_bias_table(ledger, out / "ledger.tsv")
     _write_json(out / "bias_spec.json", asdict(spec))
@@ -149,11 +149,11 @@ def _build_model(mode, cfg, setup, vocab):
 
 
 def _train_single(mode, split, evaluate_test, cfg, setup, out):
-    """Train one seeded run into `out`; its test report, or None without a test part."""
-    out.mkdir(parents=True, exist_ok=True)
+    """Train one seeded run; `out` is made once training succeeds. Its test report, or None without a test part."""
     scale_by_alpha = setup.inference.scale_by_alpha
     vocab = build_vocabulary(split.train, cfg.min_token_freq)
     result = train(_build_model(mode, cfg, setup, vocab), split, cfg)
+    out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(result.model, out / "checkpoint.json", cfg.max_len, scale_by_alpha)
     _write_history(out / "history.jsonl", result.history)
     if not evaluate_test:
@@ -173,7 +173,7 @@ def cmd_train(args):
     if args.test:
         parts.append(load_corpus(args.test))
     split = SplitResult(*parts)
-    out = _out_dir(args)
+    out = Path(args.out_dir)
     reports = []
     for r in range(args.runs):
         run_dir = out if args.runs == 1 else out / f"run-{r:02d}"

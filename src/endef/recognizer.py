@@ -1,11 +1,11 @@
 """Dictionary (gazetteer) entity recognition with longest-match-leftmost semantics."""
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, compress
 from pathlib import Path
 
-from .corpus import Corpus
+from .corpus import Corpus, NewsPiece
 
 
 class GazetteerError(ValueError):
@@ -122,7 +122,7 @@ def recognize(tokens, gazetteer, *, dedupe=False):
 def recognize_corpus(corpus, gazetteer, *, dedupe=False):
     """Fill the entity list of every piece; clears needs_recognition flags."""
     pieces = tuple(
-        replace(p, entities=recognize(p.tokens, gazetteer, dedupe=dedupe), needs_recognition=False)
+        NewsPiece(p.id, p.tokens, recognize(p.tokens, gazetteer, dedupe=dedupe), p.label, p.timestamp)
         for p in corpus.pieces
     )
     return Corpus(pieces, name=corpus.name)

@@ -9,14 +9,17 @@ signal stays stable so an entity-ignoring classifier keeps working.
 Sampling scheme per piece: the label is drawn from the period's mean fake
 fraction, then 1 to max_entities_per_piece entity draws are taken with
 replacement with probabilities proportional to corr (fake pieces) or
-1 - corr (real pieces), and deduplicated in draw order. With the label
-marginal equal to mean(corr), Bayes gives P(fake | entity drawn) = corr_k
-exactly per draw; presence-level fractions attenuate slightly toward the
-mean when several draws land on few entities, so recipes with at least ~8
-entities track their targets closely.
+1 - corr (real pieces), and deduplicated in draw order. Each entity draw is
+one uniform mapped through the period's CDF for the label: the entity that
+`Generator.choice` picks from that uniform. With the label marginal equal to
+mean(corr), Bayes gives P(fake | entity drawn) = corr_k exactly per draw;
+presence-level fractions attenuate slightly toward the mean when several
+draws land on few entities, so recipes with at least ~8 entities track
+their targets closely.
 """
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -99,6 +102,14 @@ def _content_pools(vocab_size):
     return fake_pool, real_pool, neutral_pool
 
 
+def entity_cdf(weights):
+    """The CDF that `Generator.choice(len(weights), p=weights / weights.sum())` searches; uniform if all are 0."""
+    total = float(weights.sum())
+    probs = weights / total if total > 0.0 else np.full(len(weights), 1.0 / len(weights))
+    cdf = probs.cumsum()
+    return (cdf / cdf[-1]).tolist()
+
+
 def generate(spec):
     """Build the corpus and its ground-truth bias ledger.
 
@@ -111,19 +122,17 @@ def generate(spec):
     fake_pool, real_pool, neutral_pool = _content_pools(spec.vocab_size)
     counts = {}
 
-    def emit(period, index, timestamp, corr):
+    def draws(corr):
+        """A period's fake chance and its entity CDF per label (real, fake)."""
         corr = np.asarray(corr, dtype=np.float64)
-        label = int(rng.random() < corr.mean())
-        weights = corr if label else 1.0 - corr
-        total = float(weights.sum())
-        if total <= 0.0:
-            probs = np.full(spec.n_entities, 1.0 / spec.n_entities)
-        else:
-            probs = weights / total
+        return float(corr.mean()), (entity_cdf(1.0 - corr), entity_cdf(corr))
+
+    def emit(period, index, timestamp, fake_chance, cdfs):
+        label = int(rng.random() < fake_chance)
         k = int(rng.integers(1, spec.max_entities_per_piece + 1))
         chosen = []
         for _ in range(k):
-            idx = int(rng.choice(spec.n_entities, p=probs))
+            idx = bisect_right(cdfs[label], rng.random())
             if idx not in chosen:
                 chosen.append(idx)
         n_content = int(rng.integers(spec.min_tokens, spec.max_tokens + 1))
@@ -139,11 +148,9 @@ def generate(spec):
             counts[(e, period)] = (n + 1, nf + label)
         return NewsPiece(f"{period}-{index:05d}", tuple(tokens), tuple(entities), label, timestamp)
 
-    pieces = [emit("pre", i, i, spec.train_corr) for i in range(spec.n_train)]
-    pieces += [
-        emit("post", i, spec.period_boundary + i, spec.test_corr)
-        for i in range(spec.n_val + spec.n_test)
-    ]
+    pre, post = draws(spec.train_corr), draws(spec.test_corr)
+    pieces = [emit("pre", i, i, *pre) for i in range(spec.n_train)]
+    pieces += [emit("post", i, spec.period_boundary + i, *post) for i in range(spec.n_val + spec.n_test)]
 
     for e in names:
         for period in ("pre", "post"):

@@ -639,6 +639,31 @@ def test_every_mode_and_command_on_recognized_and_unrecognized_pieces(
             assert err.startswith("error:") and error in err and "Traceback" not in err, err
 
 
+
+@pytest.mark.parametrize(
+    "command, error",
+    [
+        ("synthesize", "infeasible spec: entity 'ent_00' drew no samples in period 'pre'"),
+        ("train", NO_ENTITIES),
+        ("train-runs", NO_ENTITIES),
+    ],
+    ids=["synthesize", "train", "train-runs"],
+)
+def test_failed_command_leaves_no_out_dir(unrecognized_split_dir, tmp_path, capsys, command, error):
+    out = tmp_path / "out" / "nested"
+    if command == "synthesize":
+        spec = tmp_path / "infeasible.json"
+        spec.write_text(json.dumps({"n_entities": 12, "n_train": 2, "n_val": 1, "n_test": 1, "seed": 1}))
+        args = ["synthesize", "--spec", spec]
+    else:
+        args = ["train", "--train", unrecognized_split_dir / "train.jsonl", "--val", unrecognized_split_dir / "val.jsonl"]
+        args += ["--max-epochs", 1] + (["--runs", 2] if command == "train-runs" else [])
+    code = run_cli(*args, "--out-dir", out)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and error in err, err
+    assert not (tmp_path / "out").exists()
+
 def test_case_report_on_single_encoder_checkpoint_fails_cleanly(spec_file, tmp_path, capsys):
     split_dir = prepare_split_dir(tmp_path, spec_file)
     config = _write_config(tmp_path / "config.json", max_epochs=1)

@@ -1,11 +1,15 @@
+import hashlib
 import json
-from dataclasses import asdict
+from bisect import bisect_right
+from dataclasses import asdict, astuple
 
+import numpy as np
 import pytest
 
 from endef.corpus import entity_bias_table
+from endef.experiments import FLIPPED_TEST_CORR, FLIPPED_TRAIN_CORR, flipped_bias_spec, unbiased_spec
 from endef.payload import from_fields
-from endef.synthetic import BiasSpec, SyntheticSpecError, generate
+from endef.synthetic import BiasSpec, SyntheticSpecError, entity_cdf, generate
 
 
 def small_spec(**kwargs):
@@ -174,3 +178,103 @@ def test_content_signal_is_period_stable_and_learnable():
     train(model, split, cfg)
     report = evaluate_model(model, split.test, cfg.max_len)
     assert report.acc > 0.6  # strictly above the 0.5 chance level, with margin
+
+
+# Corpora pinned at the commit before entity draws went through a precomputed CDF. Every corpus and
+# ledger the repo trains or scores on comes from `generate`, so these digests are never regenerated
+# to let a change pass: a different digest is a different corpus.
+PINNED_SPECS = {
+    "flipped_seed7": flipped_bias_spec(seed=7),
+    "unbiased": unbiased_spec(),
+    "default": BiasSpec(),
+    "pre_fake_weights_zero": small_spec(train_corr=0.0),  # the pre-period fake CDF is the uniform fallback
+    "one_entity_per_piece": small_spec(max_entities_per_piece=1),
+    "scalar_corr": small_spec(train_corr=0.3, test_corr=0.8, seed=21),
+    "large_recipe": BiasSpec(
+        n_entities=12,
+        vocab_size=40_000,
+        n_train=300,
+        n_val=50,
+        n_test=50,
+        train_corr=FLIPPED_TRAIN_CORR,
+        test_corr=FLIPPED_TEST_CORR,
+        content_signal_strength=0.7,
+        min_tokens=100,
+        max_tokens=160,
+        seed=3,
+    ),
+}
+
+PINNED_DIGESTS = {
+    "flipped_seed7": (
+        "1c576070722daaf330b31963b69463e8c28d4540b391b7c2228b576e9f2dcdf8",
+        "b5da619bf28f3060a63e551f135959ef4f755998389d93a83794e291aace1beb",
+    ),
+    "unbiased": (
+        "c492ad67c138f3df2a395b1c2bcfaa5983102d84fcc6993b3b7684eb1f9b705d",
+        "435e0454c414db9adf78817db4a0f601201e4b6479b2c54b730e6b62c182c157",
+    ),
+    "default": (
+        "fd7312ab9a9b13f66a048cb9d2be864e4d66dfdd0e5ad833b9fc3a0afcdd6b64",
+        "b49d4ee657f77461984a00a290aa3857f9ba9c84e7edd9e0aa481b4329e07920",
+    ),
+    "pre_fake_weights_zero": (
+        "e46d7f2d8099f8093477feca0b23aea0e39192a48b4ac558afec1dbc0857c221",
+        "ef0ed6beb9dd5a8124610e31abc6a90c8d2afb0f537d9658b7420a27821d155e",
+    ),
+    "one_entity_per_piece": (
+        "24304e1f9cc339ce5aee8bbfedc34f2d98301f0c3283eeeceaf4c0c0fd8465e0",
+        "5956d203a908e923903d206e5cc82cff52f311dae9f25292c4e1f46b9692b2b8",
+    ),
+    "scalar_corr": (
+        "618006a91d31eed3ead18a082c2b87626663edd3e02da93982dce6f41714dec5",
+        "559fcf8f2a47ef67460b9837846ae75559e844d733680f41a970a77a5e8bb845",
+    ),
+    "large_recipe": (
+        "ad12279e1e6ef3a4c3c03cfe70dabc5d9b4d8aad41827b5d96da4c3db571cffe",
+        "6834192ec34278503ea497d35ed1cca8bde7606e4e48d2c4d927728e80b2b46a",
+    ),
+}
+
+
+def corpus_digest(corpus):
+    h = hashlib.sha256()
+    for p in corpus:
+        h.update((json.dumps([p.id, list(p.tokens), list(p.entities), p.label, p.timestamp]) + "\n").encode())
+    return h.hexdigest()
+
+
+def ledger_digest(ledger):
+    return hashlib.sha256("".join(repr(astuple(row)) + "\n" for row in ledger).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SPECS))
+def test_generated_corpus_and_ledger_are_pinned(name):
+    corpus, ledger = generate(PINNED_SPECS[name])
+    assert (corpus_digest(corpus), ledger_digest(ledger)) == PINNED_DIGESTS[name]
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [
+        (0.03, 0.97) * 6,
+        (0.67, 0.33) * 6,
+        (0.5,) * 12,
+        (0.0, 0.2, 0.0, 0.7, 0.1, 0.0),
+        (0.0, 0.0, 1.0, 0.0),
+        (0.0,) * 8,  # all zero: the uniform fallback
+        (1.0,),
+        (0.1, 0.2, 0.3, 0.15, 0.05, 0.05, 0.1, 0.05),  # cumulative probabilities end at 1 + 2**-52
+    ],
+)
+def test_entity_cdf_draws_what_choice_draws(weights):
+    # a numpy upgrade that changes how `choice` maps its uniform fails here, not only in a pinned digest
+    weights = np.array(weights)
+    n = len(weights)
+    probs = weights / weights.sum() if weights.sum() > 0 else np.full(n, 1.0 / n)
+    cdf = entity_cdf(weights)
+    ours, theirs = np.random.default_rng(5), np.random.default_rng(5)
+    drawn = [bisect_right(cdf, ours.random()) for _ in range(10_000)]
+    assert drawn == [int(theirs.choice(n, p=probs)) for _ in range(10_000)]
+    assert ours.bit_generator.state == theirs.bit_generator.state
+    assert set(drawn) == set(np.flatnonzero(probs).tolist())
