@@ -94,10 +94,6 @@ class Corpus:
     def ids(self):
         return tuple(p.id for p in self.pieces)
 
-    def class_counts(self):
-        fake = sum(p.label for p in self.pieces)
-        return {"fake": fake, "real": len(self.pieces) - fake}
-
 
 def _strings(raw, key):
     # one C-level pass over the list: no Python frame runs per item

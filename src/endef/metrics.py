@@ -6,7 +6,6 @@ vertices, which gives ties the Mann-Whitney 0.5 credit; AUC and spAUC both
 come from that one sweep.
 """
 
-import json
 import math
 from dataclasses import asdict, dataclass
 from typing import ClassVar
@@ -174,13 +173,6 @@ class EvalReport:
 
     def to_dict(self):
         return asdict(self)
-
-    def to_json(self):
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**{k: d[k] for k in (*_REPORT_FIELDS, "tp", "fp", "tn", "fn", "maxfpr")})
 
     def format_table(self):
         header = "".join(f"{c:<9}" for c in self.COLUMNS).rstrip()

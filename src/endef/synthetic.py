@@ -16,11 +16,17 @@ mean(corr), Bayes gives P(fake | entity drawn) = corr_k exactly per draw;
 presence-level fractions attenuate slightly toward the mean when several
 draws land on few entities, so recipes with at least ~8 entities track
 their targets closely.
+
+Every draw is replayed from the raw PCG64 words of
+`np.random.default_rng(spec.seed)`, read in chunks: the values equal what
+that `Generator`'s `random` and `integers` return, call for call (the tests
+check this against the installed numpy), without a `Generator` call per token.
 """
 
 import json
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -110,6 +116,51 @@ def entity_cdf(weights):
     return (cdf / cdf[-1]).tolist()
 
 
+_RAW_CHUNK = 4096  # raw PCG64 words read per refill
+_HALF_MASK = 0xFFFFFFFF
+_HALF_RANGE = 1 << 32
+_DOUBLE_UNIT = 2.0**-53
+
+
+class _Draws:
+    """`np.random.default_rng(seed).random()` and `.integers(lo, hi)`, replayed from the raw PCG64 words.
+
+    `random()` is the top 53 bits of one word. `integers` is numpy's 32-bit Lemire
+    draw with its rejection loop, fed by PCG64's buffered half-words: a fresh word
+    serves its low half and keeps its high half for the next integer draw, which
+    `random()` never touches. A range of 1 draws nothing.
+    """
+
+    __slots__ = ("_word", "_half")
+
+    def __init__(self, seed):
+        bits = np.random.default_rng(seed).bit_generator
+        self._word = chain.from_iterable(iter(lambda: bits.random_raw(_RAW_CHUNK).tolist(), None)).__next__
+        self._half = None
+
+    def random(self):
+        return (self._word() >> 11) * _DOUBLE_UNIT
+
+    def integers(self, lo, hi):
+        n = hi - lo
+        if n == 1:
+            return lo
+        if not 1 < n <= _HALF_RANGE:
+            raise ValueError(f"integers range [{lo}, {hi}) must hold 1 to 2**32 values, not {n}")
+        threshold = _HALF_RANGE % n  # Lemire: a low product half below 2**32 mod n is rejected
+        while True:
+            half = self._half
+            if half is None:
+                word = self._word()
+                self._half = word >> 32
+                half = word & _HALF_MASK
+            else:
+                self._half = None
+            m = half * n
+            if (m & _HALF_MASK) >= threshold:
+                return lo + (m >> 32)
+
+
 def generate(spec):
     """Build the corpus and its ground-truth bias ledger.
 
@@ -117,7 +168,8 @@ def generate(spec):
     tallied during generation; an entity-bias audit of the emitted corpus
     must reproduce them exactly. Generation is deterministic given the seed.
     """
-    rng = np.random.default_rng(spec.seed)
+    rng = _Draws(spec.seed)
+    random, integers = rng.random, rng.integers
     names = spec.entity_names()
     fake_pool, real_pool, neutral_pool = _content_pools(spec.vocab_size)
     counts = {}
@@ -128,22 +180,22 @@ def generate(spec):
         return float(corr.mean()), (entity_cdf(1.0 - corr), entity_cdf(corr))
 
     def emit(period, index, timestamp, fake_chance, cdfs):
-        label = int(rng.random() < fake_chance)
-        k = int(rng.integers(1, spec.max_entities_per_piece + 1))
+        label = int(random() < fake_chance)
+        k = integers(1, spec.max_entities_per_piece + 1)
         chosen = []
         for _ in range(k):
-            idx = bisect_right(cdfs[label], rng.random())
+            idx = bisect_right(cdfs[label], random())
             if idx not in chosen:
                 chosen.append(idx)
-        n_content = int(rng.integers(spec.min_tokens, spec.max_tokens + 1))
+        n_content = integers(spec.min_tokens, spec.max_tokens + 1)
         signal_pool = fake_pool if label else real_pool
         tokens = []
         for _ in range(n_content):
-            pool = signal_pool if rng.random() < spec.content_signal_strength else neutral_pool
-            tokens.append(pool[int(rng.integers(len(pool)))])
+            pool = signal_pool if random() < spec.content_signal_strength else neutral_pool
+            tokens.append(pool[integers(0, len(pool))])
         entities = [names[int(i)] for i in chosen]
         for e in entities:
-            tokens.insert(int(rng.integers(len(tokens) + 1)), e)
+            tokens.insert(integers(0, len(tokens) + 1), e)
             n, nf = counts.get((e, period), (0, 0))
             counts[(e, period)] = (n + 1, nf + label)
         return NewsPiece(f"{period}-{index:05d}", tuple(tokens), tuple(entities), label, timestamp)

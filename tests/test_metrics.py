@@ -215,7 +215,7 @@ def test_report_table_format():
 
 def test_report_json_round_trip():
     report = evaluate(pset([0.9, 0.1, 0.7, 0.3], [1, 0, 1, 0]))
-    clone = EvalReport.from_dict(json.loads(report.to_json()))
+    clone = EvalReport(**json.loads(json.dumps(report.to_dict())))
     assert clone == report
 
 

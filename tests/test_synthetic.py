@@ -9,7 +9,7 @@ import pytest
 from endef.corpus import entity_bias_table
 from endef.experiments import FLIPPED_TEST_CORR, FLIPPED_TRAIN_CORR, flipped_bias_spec, unbiased_spec
 from endef.payload import from_fields
-from endef.synthetic import BiasSpec, SyntheticSpecError, entity_cdf, generate
+from endef.synthetic import BiasSpec, SyntheticSpecError, _Draws, entity_cdf, generate
 
 
 def small_spec(**kwargs):
@@ -278,3 +278,32 @@ def test_entity_cdf_draws_what_choice_draws(weights):
     assert drawn == [int(theirs.choice(n, p=probs)) for _ in range(10_000)]
     assert ours.bit_generator.state == theirs.bit_generator.state
     assert set(drawn) == set(np.flatnonzero(probs).tolist())
+
+
+# Ranges `generate` draws from (1 draws nothing) plus the edges of the 32-bit path: 2**31 + 1 rejects
+# about half its draws, 3e9 and 2**32 use the top of the half-word.
+DRAW_RANGES = (1, 2, 3, 7, 10_000, 2**31 + 1, 3_000_000_000, 2**32)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2024, 987_654_321])
+def test_draws_replay_what_the_generator_draws(seed):
+    # a numpy upgrade that changes PCG64's output or the bounded-integer path fails here, not only in a digest
+    ours, theirs, script = _Draws(seed), np.random.default_rng(seed), np.random.default_rng(seed + 1)
+    # half the calls are `random()`, as in `generate`'s token loop; it must not touch the buffered half-word
+    ops = script.integers(0, 2 * len(DRAW_RANGES), size=25_000).tolist()
+    offsets = script.integers(0, 1_000, size=25_000).tolist()
+    for op, lo in zip(ops, offsets):
+        if op >= len(DRAW_RANGES):
+            assert ours.random() == theirs.random()
+        else:
+            # lo > 0 on most draws; one rejection replayed wrongly shifts every later draw
+            hi = lo + DRAW_RANGES[op]
+            drawn = ours.integers(lo, hi)
+            assert drawn == int(theirs.integers(lo, hi))
+            assert lo <= drawn < hi
+
+
+@pytest.mark.parametrize("lo, hi", [(5, 5), (3, 2), (0, 2**32 + 1), (10, 2**33)])
+def test_draws_reject_a_range_the_replay_cannot_serve(lo, hi):
+    with pytest.raises(ValueError, match=rf"\[{lo}, {hi}\)"):
+        _Draws(0).integers(lo, hi)
