@@ -229,15 +229,6 @@ class ScalarModel:
         cache.update(feat=feat, z1=z1, h=h)
         return logits, cache
 
-    def backward(self, token_ids, upstream_grad):
-        """d(logit)/d(params) scaled by upstream_grad, as a flat vector."""
-        _, cache = self._forward_cache([token_ids])
-        grad = self._backward_from_cache(cache, [upstream_grad])
-        grads = np.zeros_like(self.params)
-        grads[self.layout.slices["embed"][1] :] = grad.tail
-        self.layout.view(grads, "embed")[grad.ids] = grad.rows
-        return grads
-
     def _backward_from_cache(self, cache, upstream_grad):
         """Sum over the batch of d(logit_b)/d(params) scaled by upstream_grad[b], as one SparseGrad."""
         g = np.asarray(upstream_grad, dtype=np.float64)

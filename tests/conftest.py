@@ -49,6 +49,12 @@ def dense_grad(grad, encoder):
     return dense
 
 
+def backward(model, token_ids, upstream_grad):
+    """d(logit)/d(params) of one encoded sequence scaled by upstream_grad, as a flat vector."""
+    _, cache = model._forward_cache([token_ids])
+    return dense_grad(model._backward_from_cache(cache, [upstream_grad]), model)
+
+
 def max_relative_error(analytic, numeric, floor=1e-6):
     analytic = np.asarray(analytic)
     numeric = np.asarray(numeric)

@@ -1,7 +1,7 @@
 import hashlib
 import json
 from bisect import bisect_right
-from dataclasses import asdict, astuple
+from dataclasses import asdict, astuple, replace
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ import pytest
 from endef.corpus import entity_bias_table
 from endef.experiments import FLIPPED_TEST_CORR, FLIPPED_TRAIN_CORR, flipped_bias_spec, unbiased_spec
 from endef.payload import from_fields
-from endef.synthetic import BiasSpec, SyntheticSpecError, _Draws, entity_cdf, generate
+from endef.synthetic import _BLOCK, _RAW_CHUNK, BiasSpec, SyntheticSpecError, _Draws, entity_cdf, generate
 
 
 def small_spec(**kwargs):
@@ -204,6 +204,10 @@ PINNED_SPECS = {
         seed=3,
     ),
 }
+# the large recipe at seeds that draw one Lemire rejection among their content pairs: seed 2 in the signal pool
+# (range 10,000), seed 21 in the neutral pool (range 20,000), so the scalar fallback of a block is pinned too
+PINNED_SPECS["large_recipe_seed2"] = replace(PINNED_SPECS["large_recipe"], seed=2)
+PINNED_SPECS["large_recipe_seed21"] = replace(PINNED_SPECS["large_recipe"], seed=21)
 
 PINNED_DIGESTS = {
     "flipped_seed7": (
@@ -233,6 +237,14 @@ PINNED_DIGESTS = {
     "large_recipe": (
         "ad12279e1e6ef3a4c3c03cfe70dabc5d9b4d8aad41827b5d96da4c3db571cffe",
         "6834192ec34278503ea497d35ed1cca8bde7606e4e48d2c4d927728e80b2b46a",
+    ),
+    "large_recipe_seed2": (
+        "4658b9bd677e421d90d350db043866bd4046db04855c9d93c65472477ba240a3",
+        "dc51dfc64461626391207c33a6bea4fdb1a40b3ff9c45d65d86c5b597982eca8",
+    ),
+    "large_recipe_seed21": (
+        "edeae9058042cf129f2a8c06ad2b8744e7ba3bd730af0a8d684044c7505e989a",
+        "106e8067114b76f712d172d24b76b99ae0e568b27bb7b04befb45208aadf72a2",
     ),
 }
 
@@ -307,3 +319,68 @@ def test_draws_replay_what_the_generator_draws(seed):
 def test_draws_reject_a_range_the_replay_cannot_serve(lo, hi):
     with pytest.raises(ValueError, match=rf"\[{lo}, {hi}\)"):
         _Draws(0).integers(lo, hi)
+
+
+# Content lengths of the pieces one `blocks` call walks: an empty walk, blocks of 0 and 1 pairs, more pieces than
+# one block holds, and pieces whose pairs cross a refill of the word window.
+BLOCK_SHAPES = ((), (0,), (1,), (0, 0, 0), (1, 0, 1), (3, 0, 5, 2, 1) * 60, (_RAW_CHUNK // 2, 7, _RAW_CHUNK))
+
+
+@pytest.mark.parametrize(
+    "sizes, rejects",
+    [
+        ((20_000, 10_000), False),  # the large recipe's neutral and signal pools
+        ((2, 3), False),
+        ((2**31 + 1, 2**32), True),  # the neutral draw rejects about half the time, the signal draw never
+        ((3_000_000_000, 2**31 + 1), True),
+    ],
+)
+@pytest.mark.parametrize("seed", [0, 11])
+def test_block_content_draws_replay_the_scalar_loop(seed, sizes, rejects):
+    # `blocks` steps over each piece's content pairs and draws them in one pass; a reference Generator draws the same
+    # walk call by call, so a wrong word position, buffered half or rejection replay shifts every later value
+    ours, theirs, script = _Draws(seed), np.random.default_rng(seed), np.random.default_rng(seed + 1)
+    chance, entered, blocks = 0.4, set(), 0
+    for shape in BLOCK_SHAPES:
+        # zero or one range-2 draw before a run: it enters with and without a buffered half-word
+        heads = script.integers(0, 2, size=len(shape)).tolist()
+
+        def walk(i, content, rng):
+            head = [rng.integers(0, 2) for _ in range(heads[i])]
+            if rng is ours:
+                entered.add(ours._half is not None)
+            content(shape[i])
+            return head, rng.integers(0, 7)
+
+        got_walked, got_signal, got_index = [], [], []
+        for walked, signal, index in ours.blocks(len(shape), lambda i, content: walk(i, content, ours), chance, sizes):
+            got_walked += walked
+            got_signal += signal.tolist()
+            got_index += index.tolist()
+            blocks += 1
+        want_walked, want_signal, want_index = [], [], []
+
+        def scalar(n):
+            for _ in range(n):
+                want_signal.append(bool(theirs.random() < chance))
+                want_index.append(int(theirs.integers(0, sizes[want_signal[-1]])))
+
+        for i in range(len(shape)):
+            head, tail = walk(i, scalar, theirs)
+            want_walked.append(([int(h) for h in head], int(tail)))
+        assert got_walked == want_walked
+        assert (got_signal, got_index) == (want_signal, want_index)
+        assert all(0 <= v < sizes[s] for s, v in zip(got_signal, got_index))
+        # after the walk, the next scalar draws match too
+        assert ours.random() == theirs.random()
+        assert ours.integers(5, 5 + sizes[0]) == theirs.integers(5, 5 + sizes[0])
+    assert entered == {True, False}
+    # a block ends at each rejection and the piece that drew it comes as its own block
+    walks = sum(-(-len(shape) // _BLOCK) for shape in BLOCK_SHAPES)
+    assert (blocks > walks) == rejects
+
+
+@pytest.mark.parametrize("sizes", [(1, 5), (5, 0), (2**32 + 1, 5)])
+def test_blocks_reject_a_size_the_pass_cannot_serve(sizes):
+    with pytest.raises(ValueError, match="sizes"):
+        next(_Draws(0).blocks(1, lambda i, content: content(1), 0.5, sizes))
