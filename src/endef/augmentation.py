@@ -3,7 +3,9 @@
 Training augments records, not pieces: `plan_records` scans each
 truncated training piece once per run, and `augment` edits a record with
 the same random draws as an edit of the piece, rescanning only the edited
-tokens.
+tokens. Neither a record nor an edit stands in for a piece: a piece's id,
+label, tokens and entities are read from `record.piece`, and an edit holds
+only what it changed.
 """
 
 from .recognizer import longest_matches
@@ -70,7 +72,7 @@ def plan_records(pieces):
 
 
 class PieceRecord:
-    """One training piece as `augment` reads it, scanned once: its in-text scanner, external entities and entity spans."""
+    """A training piece scanned once for `augment`: the piece, its in-text scanner, external entities and entity spans."""
 
     __slots__ = ("piece", "scanner", "external", "spans")
 
@@ -79,29 +81,14 @@ class PieceRecord:
         self.scanner, self.external = _partition(piece, scanners)
         self.spans = tuple((a, b) for a, b, _ in self.scanner.matches(piece.tokens))
 
-    @property
-    def id(self):
-        return self.piece.id
-
-    @property
-    def label(self):
-        return self.piece.label
-
-    @property
-    def tokens(self):
-        return self.piece.tokens
-
-    @property
-    def entities(self):
-        return self.piece.entities
-
 
 class Sample:
-    """An edited training record: the edited tokens and their entities, and where the edit fell.
+    """An edited training record: the record, the edited tokens and their entities, and where the edit fell.
 
     `masked` holds the positions a mask replaced (empty for a drop) and
     `kept` the positions a drop kept (None for a mask), both counted on
-    the record's tokens; `framework.sample_ids` derives ids from them.
+    the tokens of `record.piece`; `framework.sample_ids` derives ids from
+    them. The id and label stay on `record.piece`.
     """
 
     __slots__ = ("record", "tokens", "entities", "masked", "kept")
@@ -113,14 +100,6 @@ class Sample:
         self.masked = masked
         self.kept = kept
 
-    @property
-    def id(self):
-        return self.record.id
-
-    @property
-    def label(self):
-        return self.record.label
-
 
 def augment(record, settings, rng):
     """Augment one training record under validated `training.AugmentSettings`.
@@ -131,9 +110,10 @@ def augment(record, settings, rng):
     from the allowed ones. Word-level selects each token independently with
     the settings' probability; entity-level selects whole recognized spans
     (one draw per occurrence). When dropping would empty the sequence, one
-    unmodified token chosen uniformly is retained instead. Label and id
-    never change. An unedited record comes back as itself; an edited one as
-    a `Sample` whose entity list is recounted on the edited tokens.
+    unmodified token chosen uniformly is retained instead. An unedited
+    record comes back as itself; an edited one as a `Sample` of the record
+    whose entity list is recounted on the edited tokens; neither changes
+    the piece, so its label and id are those of `record.piece`.
     """
     if not settings.enabled:
         return record
@@ -142,7 +122,7 @@ def augment(record, settings, rng):
     kind = settings.kinds[int(rng.integers(len(settings.kinds)))]
     action = settings.actions[int(rng.integers(len(settings.actions)))]
     p = settings.probability
-    tokens = record.tokens
+    tokens = record.piece.tokens
     if kind == "word_level":
         draws = rng.random(len(tokens)).tolist()
         selected = {i for i, u in enumerate(draws) if u < p}

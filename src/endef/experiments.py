@@ -47,11 +47,6 @@ def flipped_bias_spec(seed=7, n_train=1600, n_val=320, n_test=320):
     )
 
 
-def unbiased_spec(seed=7, n_train=1600, n_val=320, n_test=320):
-    """Control recipe: entities carry no signal in either period."""
-    return replace(flipped_bias_spec(seed, n_train, n_val, n_test), train_corr=0.5, test_corr=0.5)
-
-
 def default_detector_spec():
     return EncoderSpec(kind=BAG_OF_EMBEDDINGS, embed_dim=32, hidden_dim=64)
 

@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus, EntityBiasRow, NewsPiece
+from .corpus import Corpus, NewsPiece, entity_bias_table
 from .payload import check_type, from_fields
 
 
@@ -263,9 +263,10 @@ class _Draws:
 def generate(spec):
     """Build the corpus and its ground-truth bias ledger.
 
-    Returns (corpus, ledger). Ledger rows are realized per-entity counts
-    tallied during generation; an entity-bias audit of the emitted corpus
-    must reproduce them exactly. Generation is deterministic given the seed.
+    Returns (corpus, ledger). The ledger is the entity-bias audit of the
+    emitted corpus at spec.period_boundary (`corpus.entity_bias_table`): the
+    realized per-entity counts and fake fractions of each period.
+    Generation is deterministic given the seed.
     """
     rng = _Draws(spec.seed)
     random, integers = rng.random, rng.integers
@@ -273,7 +274,6 @@ def generate(spec):
     fake_pool, real_pool, neutral_pool = _content_pools(spec.vocab_size)
     q = len(fake_pool)
     words = np.array(fake_pool + real_pool + neutral_pool, dtype=object)
-    counts = {}
 
     def draws(corr):
         """A period's fake chance and its entity CDF per label (real, fake)."""
@@ -309,22 +309,16 @@ def generate(spec):
             tokens, at = flat[at : at + n], at + n
             for e, position in inserts:
                 tokens.insert(position, e)
-                n_seen, n_fake = counts.get((e, period), (0, 0))
-                counts[(e, period)] = (n_seen + 1, n_fake + label)
             timestamp = number if period == "pre" else spec.period_boundary + number
             pieces.append(NewsPiece(f"{period}-{number:05d}", tuple(tokens), tuple(e for e, _ in inserts), label, timestamp))
 
+    corpus = Corpus(tuple(pieces), name=f"synthetic-seed{spec.seed}")
+    ledger = entity_bias_table(corpus, spec.period_boundary)
+    drawn = {(row.entity, row.period) for row in ledger}
     for e in names:
         for period in ("pre", "post"):
-            if (e, period) not in counts:
+            if (e, period) not in drawn:
                 raise SyntheticSpecError(
                     f"infeasible spec: entity {e!r} drew no samples in period {period!r}; increase sample counts"
                 )
-
-    totals = {e: counts[(e, "pre")][0] + counts[(e, "post")][0] for e in names}
-    ledger = tuple(
-        EntityBiasRow(e, period, counts[(e, period)][0], counts[(e, period)][1] / counts[(e, period)][0])
-        for e in sorted(names, key=lambda e: (-totals[e], e))
-        for period in ("pre", "post")
-    )
-    return Corpus(tuple(pieces), name=f"synthetic-seed{spec.seed}"), ledger
+    return corpus, ledger

@@ -148,6 +148,7 @@ def train(model, split, cfg):
     shuffle_rng, augment_rng = _rng_streams(cfg.seed)
     pieces = [truncate_piece(p, cfg.max_len) for p in split.train]
     records = aug.plan_records(pieces)
+    labels = [p.label for p in pieces]
     plan = {name: planned_ids(enc, pieces, cfg.max_len) for name, enc in encoders.items()}
     # one small array per validation piece: a flat one raised score-new-period's peak RSS by 14 MB
     val_ids = [input_ids(encoders["detector"], p, cfg.max_len) for p in split.validation]
@@ -171,7 +172,7 @@ def train(model, split, cfg):
             }
             step += 1
             try:
-                loss, grads = loss_total(model, batch, cfg.max_len, cfg.stop_grad_entity_from_overall, ids)
+                loss, grads = loss_total(model, ids, [labels[i] for i in batch_idx], cfg.stop_grad_entity_from_overall)
             except ModelError as exc:
                 raise TrainingError(f"epoch {epoch}, batch {start // cfg.batch_size + 1}: {exc}") from exc
             for name, enc in encoders.items():

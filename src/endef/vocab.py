@@ -68,10 +68,6 @@ class Vocabulary:
     def unk_id(self):
         return 2
 
-    @property
-    def sep_id(self):
-        return 3
-
     def __contains__(self, token):
         return token in self._index
 

@@ -1,11 +1,25 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from endef.augmentation import plan_records
+from endef.augmentation import Sample, plan_records
 from endef.corpus import NewsPiece
-from endef.framework import planned_ids, sample_ids
+from endef.experiments import flipped_bias_spec
+from endef.framework import branches, input_ids, loss_total, planned_ids, sample_ids
 from endef.models import BAG_OF_EMBEDDINGS, CONV_NGRAM, MAX_SEQ_LEN, EncoderSpec, ScalarModel
 from endef.vocab import SPECIAL_TOKENS, Vocabulary, build_vocabulary
+
+
+def unbiased_spec(seed=7, n_train=1600, n_val=320, n_test=320):
+    """Control recipe: entities carry no signal in either period."""
+    return replace(flipped_bias_spec(seed, n_train, n_val, n_test), train_corr=0.5, test_corr=0.5)
+
+
+def piece_loss(model, pieces, max_len=MAX_SEQ_LEN, stop_grad_entity_from_overall=False):
+    """`loss_total` of a batch of pieces, each branch reading `input_ids` of every piece."""
+    ids = {name: [input_ids(enc, p, max_len) for p in pieces] for name, enc in branches(model).items()}
+    return loss_total(model, ids, [p.label for p in pieces], stop_grad_entity_from_overall)
 
 
 def tiny_vocab(n_words=8):
@@ -128,10 +142,18 @@ def make_plan(pieces, max_len=MAX_SEQ_LEN):
     return plan_records(pieces), encoders, rows
 
 
+def shown(sample):
+    """The id and label of a training sample's piece, and the tokens and entities it shows: an edit's own, or its piece's."""
+    edited = isinstance(sample, Sample)
+    piece = (sample.record if edited else sample).piece
+    view = sample if edited else piece
+    return piece.id, piece.label, view.tokens, view.entities
+
+
 def snapshot(sample, encoders, planned, max_len=MAX_SEQ_LEN):
-    """What a training sample shows the loop, as comparable values: its id, label, tokens and entities, and each branch's ids."""
+    """What a training sample shows the loop, as comparable values: `shown(sample)` and each branch's ids."""
     ids = {name: sample_ids(enc, planned[name], sample, max_len).tolist() for name, enc in encoders.items()}
-    return sample.id, sample.label, sample.tokens, sample.entities, ids
+    return *shown(sample), ids
 
 
 @pytest.fixture

@@ -22,14 +22,14 @@ from endef.experiments import (
     run_paired_comparison,
     split_for,
 )
-from endef.framework import logits, loss_total, make_endef_model, score
+from endef.framework import logits, make_endef_model, score
 from endef.metrics import PredictionSet, roc_auc, sp_auc
 from endef.models import BAG_OF_EMBEDDINGS, CONV_NGRAM, EncoderSpec, ScalarModel, binary_cross_entropy, sigmoid
 from endef.synthetic import generate
 from endef.training import TrainConfig, train
 from endef.vocab import SPECIAL_TOKENS, Vocabulary, build_vocabulary
 
-from conftest import dense_grad, finite_difference, make_piece, relu_safety_margin
+from conftest import dense_grad, finite_difference, make_piece, piece_loss, relu_safety_margin
 from test_metrics import pairwise_auc_oracle, spauc_fine_grid_oracle
 
 # half the pilot-measured 10-seed gaps, frozen before this suite was finalized
@@ -94,9 +94,9 @@ def test_criterion_1_gradient_correctness():
             margins.append(relu_safety_margin(model.entity_model, ids_e))
         if min(margins) <= 1e-3:
             continue  # finite differences are meaningless at a relu kink; redraw
-        _, grads = loss_total(model, batch)
+        _, grads = piece_loss(model, batch)
         for branch_name, branch in (("detector", model.detector), ("entity", model.entity_model)):
-            numeric = finite_difference(lambda: loss_total(model, batch)[0], branch.params, h=FD_STEP)
+            numeric = finite_difference(lambda: piece_loss(model, batch)[0], branch.params, h=FD_STEP)
             analytic = dense_grad(grads[branch_name], branch)
             denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-6)
             rel = np.max(np.abs(analytic - numeric) / denom)
@@ -171,8 +171,8 @@ def test_criterion_4_loss_algebra_and_trajectory_equivalence():
         spec = EncoderSpec(BAG_OF_EMBEDDINGS, embed_dim=3, hidden_dim=3)
         with_beta = make_endef_model(spec, spec, vocab, seed=seed, alpha=0.8, beta=beta)
         without = make_endef_model(spec, spec, vocab, seed=seed, alpha=0.8, beta=0.0)
-        lb = loss_total(with_beta, batch)[0]
-        l0 = loss_total(without, batch)[0]
+        lb = piece_loss(with_beta, batch)[0]
+        l0 = piece_loss(without, batch)[0]
         r_ent = logits(with_beta.entity_model, batch)
         mean_entity = sum(binary_cross_entropy(sigmoid(r), p.label) for r, p in zip(r_ent, batch)) / len(batch)
         assert abs((lb - l0) - beta * mean_entity) <= 1e-12

@@ -16,7 +16,7 @@ from endef.framework import input_ids
 from endef.models import MAX_SEQ_LEN
 from endef.training import AugmentSettings, TrainingError
 
-from conftest import make_piece, make_plan, make_record, reference_longest_matches, snapshot
+from conftest import make_piece, make_plan, make_record, reference_longest_matches, shown, snapshot
 
 
 def only(kind, action, probability):
@@ -42,7 +42,7 @@ def test_p_zero_is_identity(rng):
         for action in AUGMENT_ACTIONS:
             out = augment(record, only(kind, action, 0.0), rng)
             assert out is record and record.piece is piece
-            assert (out.id, out.label, out.tokens, out.entities) == (piece.id, piece.label, piece.tokens, piece.entities)
+            assert shown(out) == (piece.id, piece.label, piece.tokens, piece.entities)
 
 
 def test_p_one_drop_guard_leaves_one_token(rng):
@@ -50,7 +50,7 @@ def test_p_one_drop_guard_leaves_one_token(rng):
     out = augment(make_record(piece), only("word_level", "drop", 1.0), rng)
     assert len(out.tokens) == 1
     assert out.tokens[0] in piece.tokens
-    assert out.label == piece.label and out.id == piece.id
+    assert out.record.piece.label == piece.label and out.record.piece.id == piece.id
 
 
 def test_mask_preserves_length(rng):
@@ -79,7 +79,7 @@ def test_word_level_selection_fraction():
     for record in records:
         out = augment(record, settings, rng)
         total += 20
-        masked += sum(t == MASK_TOKEN for t in out.tokens)
+        masked += sum(t == MASK_TOKEN for t in shown(out)[2])
     assert total == 10000
     assert abs(masked / total - 0.1) <= 0.01
 
@@ -105,7 +105,7 @@ def test_label_and_id_never_change():
     settings = AugmentSettings(probability=0.5)
     for _ in range(50):
         out = augment(record, settings, rng)
-        assert out.id == piece.id and out.label == piece.label
+        assert shown(out)[:2] == (piece.id, piece.label)
         # the source piece, timestamp included, is the record's untouched piece
         assert (out if out is record else out.record) is record and record.piece is piece
 

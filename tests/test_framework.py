@@ -15,7 +15,6 @@ from endef.framework import (
     input_ids,
     load_checkpoint,
     logits,
-    loss_total,
     make_endef_model,
     save_checkpoint,
     score,
@@ -36,6 +35,7 @@ from conftest import (
     finite_difference,
     make_piece,
     max_relative_error,
+    piece_loss,
     relu_safety_margin,
     tiny_spec,
     tiny_vocab,
@@ -125,7 +125,7 @@ def test_loss_entity_values():
 def test_loss_total_beta_zero_equals_overall_alone():
     model = small_model(beta=0.0)
     batch = sample_batch()
-    loss, _ = loss_total(model, batch)
+    loss, _ = piece_loss(model, batch)
     rows = case_report(model, batch)
     expect = sum(binary_cross_entropy(r["p_fused"], p.label) for r, p in zip(rows, batch)) / len(batch)
     assert loss == pytest.approx(expect, abs=1e-15)
@@ -136,8 +136,8 @@ def test_loss_total_decomposition_identity():
     for beta in (0.05, 0.2, 1.0, 3.0):
         model_b = small_model(beta=beta, seed=12)
         model_0 = small_model(beta=0.0, seed=12)
-        lb = loss_total(model_b, batch)[0]
-        l0 = loss_total(model_0, batch)[0]
+        lb = piece_loss(model_b, batch)[0]
+        l0 = piece_loss(model_0, batch)[0]
         r_ent = entity_logits(model_b, batch)
         mean_entity = sum(binary_cross_entropy(sigmoid(r), p.label) for r, p in zip(r_ent, batch)) / len(batch)
         assert lb - l0 == pytest.approx(beta * mean_entity, abs=1e-12)
@@ -145,14 +145,14 @@ def test_loss_total_decomposition_identity():
 
 def test_loss_total_alpha_one_beta_zero_entity_gradient_is_zero():
     model = small_model(alpha=1.0, beta=0.0)
-    _, grads = loss_total(model, sample_batch()[:1])
+    _, grads = piece_loss(model, sample_batch()[:1])
     assert np.all(dense_grad(grads["entity"], model.entity_model) == 0.0)
     assert np.any(dense_grad(grads["detector"], model.detector) != 0.0)
 
 
 def test_loss_total_empty_batch_rejected():
     with pytest.raises(ModelError):
-        loss_total(small_model(), [])
+        piece_loss(small_model(), [])
 
 
 def test_loss_total_gradient_matches_finite_differences_all_kind_pairs():
@@ -177,9 +177,9 @@ def test_loss_total_gradient_matches_finite_differences_all_kind_pairs():
                 model = candidate
                 break
         assert model is not None, "no kink-safe random model found"
-        _, grads = loss_total(model, batch)
+        _, grads = piece_loss(model, batch)
         for branch_name, branch in (("detector", model.detector), ("entity", model.entity_model)):
-            numeric = finite_difference(lambda: loss_total(model, batch)[0], branch.params)
+            numeric = finite_difference(lambda: piece_loss(model, batch)[0], branch.params)
             assert max_relative_error(dense_grad(grads[branch_name], branch), numeric) < 1e-4, (
                 det_kind,
                 ent_kind,
@@ -196,17 +196,17 @@ def test_loss_total_gradient_matches_finite_differences_all_kind_pairs():
                     single = candidate
                     break
             assert single is not None, "no kink-safe random model found"
-            _, grads = loss_total(single, batch)
+            _, grads = piece_loss(single, batch)
             assert set(grads) == {"detector"}
-            numeric = finite_difference(lambda: loss_total(single, batch)[0], single.params)
+            numeric = finite_difference(lambda: piece_loss(single, batch)[0], single.params)
             assert max_relative_error(dense_grad(grads["detector"], single), numeric) < 1e-4, (kind, reads)
 
 
 def test_stop_grad_flag_suppresses_fused_path_into_entity_branch():
     model = small_model(alpha=0.5, beta=0.0, seed=6)
-    _, grads = loss_total(model, sample_batch(), stop_grad_entity_from_overall=True)
+    _, grads = piece_loss(model, sample_batch(), stop_grad_entity_from_overall=True)
     assert np.all(dense_grad(grads["entity"], model.entity_model) == 0.0)
-    _, grads_free = loss_total(model, sample_batch(), stop_grad_entity_from_overall=False)
+    _, grads_free = piece_loss(model, sample_batch(), stop_grad_entity_from_overall=False)
     assert np.any(dense_grad(grads_free["entity"], model.entity_model) != 0.0)
 
 

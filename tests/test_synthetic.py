@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from endef.corpus import entity_bias_table
-from endef.experiments import FLIPPED_TEST_CORR, FLIPPED_TRAIN_CORR, flipped_bias_spec, unbiased_spec
+from endef.experiments import FLIPPED_TEST_CORR, FLIPPED_TRAIN_CORR, flipped_bias_spec
 from endef.payload import from_fields
 from endef.synthetic import _BLOCK, _RAW_CHUNK, BiasSpec, SyntheticSpecError, _Draws, entity_cdf, generate
+
+from conftest import unbiased_spec
 
 
 def small_spec(**kwargs):

@@ -14,9 +14,8 @@ from endef.experiments import (
     flipped_bias_spec,
     run_entity_only_probe,
     split_for,
-    unbiased_spec,
 )
-from endef.framework import branches, input_ids, loss_total, make_endef_model, score
+from endef.framework import branches, input_ids, make_endef_model, score
 from endef.metrics import PredictionSet, f1_scores
 from endef.models import BAG_OF_EMBEDDINGS, CONV_NGRAM, AdamState, EncoderSpec, ScalarModel, adam_step
 from endef.payload import from_fields
@@ -34,7 +33,7 @@ from endef.training import (
 )
 from endef.vocab import MASK_TOKEN, Vocabulary, build_vocabulary
 
-from conftest import make_piece
+from conftest import make_piece, piece_loss, unbiased_spec
 from test_augmentation import REFERENCE_SETTINGS, reference_augment
 
 
@@ -107,6 +106,15 @@ def test_empty_split_part_rejected():
         train(model, empty, cfg)
 
 
+def test_diverged_objective_names_the_epoch_batch_and_sample():
+    split, vocab, det_spec, ent_spec, cfg = tiny_setup()
+    model = make_endef_model(det_spec, ent_spec, vocab, seed=0)
+    model.detector.params = np.full(model.detector.num_params, np.nan)
+    with pytest.raises(TrainingError) as caught:
+        train(model, split, cfg)
+    assert str(caught.value) == "epoch 1, batch 1: non-finite loss on sample 1 of the batch"
+
+
 def test_early_stop_fires_after_patience_without_improvement():
     # a vanishing learning rate freezes the model, so epoch 1 sets the best
     # metric and epoch 2 cannot improve: with patience=1 the loop stops at 2
@@ -153,9 +161,9 @@ def test_validation_and_test_never_augmented(monkeypatch):
     seen = []
     real_augment = aug.augment
 
-    def spy(piece, settings, rng):
-        seen.append(piece.id)
-        return real_augment(piece, settings, rng)
+    def spy(record, settings, rng):
+        seen.append(record.piece.id)
+        return real_augment(record, settings, rng)
 
     monkeypatch.setattr(aug, "augment", spy)
     model = make_endef_model(det_spec, ent_spec, vocab, seed=0)
@@ -177,7 +185,7 @@ def test_augment_disabled_consumes_no_randomness():
 
 
 def reference_train(model, split, cfg):
-    """The loop before the per-piece plan: augment each truncated piece, then `loss_total` re-encodes the batch."""
+    """The loop before the per-piece plan: augment each truncated piece, then `piece_loss` encodes the batch."""
     encoders = branches(model)
     opts = {name: AdamState.zeros(enc.num_params) for name, enc in encoders.items()}
     shuffle_rng, augment_rng = _rng_streams(cfg.seed)
@@ -196,7 +204,7 @@ def reference_train(model, split, cfg):
             batch_idx = order[start : start + cfg.batch_size]
             batch = [reference_augment(train_pieces[i], cfg.augment, augment_rng, set()) for i in batch_idx]
             step += 1
-            loss, grads = loss_total(model, batch, cfg.max_len, cfg.stop_grad_entity_from_overall)
+            loss, grads = piece_loss(model, batch, cfg.max_len, cfg.stop_grad_entity_from_overall)
             for name, enc in encoders.items():
                 enc.params = adam_step(enc.params, grads[name], opts[name], cfg.lr, step)
             loss_sum += loss * len(batch_idx)

@@ -6,14 +6,14 @@ import pytest
 
 from endef.corpus import Corpus
 from endef.payload import from_fields
-from endef.vocab import SPECIAL_TOKENS, Vocabulary, VocabularyError, build_vocabulary
+from endef.vocab import SEP_TOKEN, SPECIAL_TOKENS, Vocabulary, VocabularyError, build_vocabulary
 
 from conftest import make_piece
 
 
 def test_specials_occupy_first_indices():
     v = Vocabulary(SPECIAL_TOKENS + ("hello",))
-    assert v.pad_id == 0 and v.mask_id == 1 and v.unk_id == 2 and v.sep_id == 3
+    assert v.pad_id == 0 and v.mask_id == 1 and v.unk_id == 2 and v.tokens.index(SEP_TOKEN) == 3
     assert v.size == 5
 
 
@@ -48,7 +48,7 @@ def test_encode_entities_sep_joined_and_pad_when_empty():
     ids = v.encode_entities(["alpha beta", "alpha"]).tolist()
     a = v.encode_tokens(["alpha"])[0]
     b = v.encode_tokens(["beta"])[0]
-    assert ids == [a, b, v.sep_id, a]
+    assert ids == [a, b, v.tokens.index(SEP_TOKEN), a]
     assert v.encode_entities([]).tolist() == [v.pad_id]
 
 
@@ -74,17 +74,18 @@ def test_encode_entities_matches_the_literal_id_encoder():
     rng = np.random.default_rng(5)
     cases = [[], [""], ["  "], ["", "alpha"], ["[SEP]", "[PAD]"]]
     cases += [list(rng.choice(entity_forms, size=rng.integers(1, 6))) for _ in range(300)]
+    sep = v.tokens.index(SEP_TOKEN)
     cut_at_sep = 0
     for entities in cases:
         full = literal_id_encode_entities(v, entities)
         assert v.encode_entities(entities).tolist() == full.tolist()
-        seps = np.flatnonzero(full == v.sep_id).tolist()
+        seps = np.flatnonzero(full == sep).tolist()
         # cuts before, at and just after every [SEP], and past the end
         for max_len in {0, 1, full.size, full.size + 2, *seps, *(i + 1 for i in seps), *(i + 2 for i in seps)}:
             got = v.encode_entities(entities, max_len)
             assert got.dtype == np.intp
             assert got.tolist() == literal_id_encode_entities(v, entities, max_len).tolist()
-            cut_at_sep += bool(max_len) and full[min(max_len, full.size) - 1] == v.sep_id
+            cut_at_sep += bool(max_len) and full[min(max_len, full.size) - 1] == sep
     assert cut_at_sep > 0
 
 
