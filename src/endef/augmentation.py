@@ -3,54 +3,27 @@
 Training augments records, not pieces: `plan_records` scans each
 truncated training piece once per run, and `augment` edits a record with
 the same random draws as an edit of the piece, rescanning only the edited
-tokens. Neither a record nor an edit stands in for a piece: a piece's id,
-label, tokens and entities are read from `record.piece`, and an edit holds
-only what it changed.
+tokens. Every scan is `recognizer.Gazetteer.spans` over a gazetteer of the
+piece's in-text entities, so a recount names the spelling recognition would.
+Neither a record nor an edit stands in for a piece: a piece's id, label,
+tokens and entities are read from `record.piece`, and an edit holds only
+what it changed.
 """
 
-from .recognizer import longest_matches
+from .recognizer import Gazetteer
 from .vocab import MASK_TOKEN
 
 AUGMENT_KINDS = ("word_level", "entity_level")
 AUGMENT_ACTIONS = ("drop", "mask")
 
 
-def _entity_forms(entity_strings):
-    # token-tuple form -> canonical entity string (first spelling wins)
-    forms = {}
-    for e in entity_strings:
-        parts = tuple(e.split())
-        if parts:
-            forms.setdefault(parts, e)
-    return forms
-
-
-class _Scanner:
-    """Longest-leftmost matcher of a fixed set of entity strings against token sequences."""
-
-    __slots__ = ("forms", "starts", "max_span")
-
-    def __init__(self, entity_strings):
-        self.forms = _entity_forms(entity_strings)
-        self.starts = {form[0] for form in self.forms}
-        self.max_span = max(map(len, self.forms), default=0)
-
-    def matches(self, tokens):
-        # (start, end, entity) for every longest-leftmost exact token-tuple match
-        if not self.forms:
-            return []
-        return longest_matches(tokens, range(len(tokens) + 1), self.max_span, self.forms, self.starts)
-
-
 def _partition(piece, scanners):
-    # (in-text scanner, external entities): entities that never occurred in
-    # the piece's tokens were supplied externally and survive every edit.
-    # On two spellings of one token tuple the first in-text one in set
-    # order wins, so `scanners` shares them by that order, not by the set.
+    # (gazetteer of the in-text entities, external entities): entities absent
+    # from the piece's tokens were supplied externally and survive every edit
     external = piece.external_entities()
-    in_text = tuple({e for e in piece.entities if e not in external})
+    in_text = frozenset(e for e in piece.entities if e not in external)
     if in_text not in scanners:
-        scanners[in_text] = _Scanner(in_text)
+        scanners[in_text] = Gazetteer(in_text)
     return scanners[in_text], external
 
 
@@ -62,24 +35,24 @@ def recompute_entities(piece, new_tokens):
     preserved untouched at the end of the list.
     """
     scanner, external = _partition(piece, {})
-    return tuple(e for _, _, e in scanner.matches(tuple(new_tokens))) + external
+    return tuple(e for _, _, e in scanner.spans(tuple(new_tokens))) + external
 
 
 def plan_records(pieces):
-    """The training records of one run: one `PieceRecord` per piece; records whose in-text entities match share a scanner."""
+    """The training records of one run: one `PieceRecord` per piece; records whose in-text entities match share a gazetteer."""
     scanners = {}
     return [PieceRecord(p, scanners) for p in pieces]
 
 
 class PieceRecord:
-    """A training piece scanned once for `augment`: the piece, its in-text scanner, external entities and entity spans."""
+    """A training piece scanned once for `augment`: the piece, its in-text gazetteer, external entities and entity spans."""
 
     __slots__ = ("piece", "scanner", "external", "spans")
 
     def __init__(self, piece, scanners):
         self.piece = piece
         self.scanner, self.external = _partition(piece, scanners)
-        self.spans = tuple((a, b) for a, b, _ in self.scanner.matches(piece.tokens))
+        self.spans = tuple((a, b) for a, b, _ in self.scanner.spans(piece.tokens))
 
 
 class Sample:
@@ -138,5 +111,5 @@ def augment(record, settings, rng):
         masked = ()
         kept = [i for i in range(len(tokens)) if i not in selected] or [int(rng.integers(len(tokens)))]
         new_tokens = tuple(tokens[i] for i in kept)
-    entities = tuple(e for _, _, e in record.scanner.matches(new_tokens)) + record.external
+    entities = tuple(e for _, _, e in record.scanner.spans(new_tokens)) + record.external
     return Sample(record, new_tokens, entities, masked, kept)

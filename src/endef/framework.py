@@ -20,7 +20,6 @@ from .augmentation import Sample, recompute_entities
 from .models import (
     BAG_OF_EMBEDDINGS,
     CHECKPOINT_FORMAT,
-    CHECKPOINT_FORMATS,
     MAX_SEQ_LEN,
     EncoderSpec,
     ModelError,
@@ -276,30 +275,25 @@ def save_checkpoint(model, path, max_len=MAX_SEQ_LEN, scale_by_alpha=False):
         fh.write("\n")
 
 
-def _load_encoder(payload, name, reads="tokens"):
+def _load_encoder(payload, name):
     try:
-        return ScalarModel.from_payload(payload, reads)
+        return ScalarModel.from_payload(payload)
     except ModelError as exc:
         raise ModelError(f"{name} encoder: {exc}") from None
 
 
 def load_checkpoint(path):
-    """Read a checkpoint written by save_checkpoint; dispatches on its kind field.
-
-    A format 1 checkpoint records no inference settings; it loads with
-    max_len MAX_SEQ_LEN and scale_by_alpha off, the settings it was scored
-    with before format 2.
-    """
+    """Read a checkpoint written by save_checkpoint; dispatches on its kind field."""
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     (kind,) = require(payload, ("kind",), "checkpoint", ModelError)
     if kind == "endef_model":
-        if payload.get("format_version") not in CHECKPOINT_FORMATS:
+        if payload.get("format_version") != CHECKPOINT_FORMAT:
             raise ModelError(f"unsupported checkpoint format_version {payload.get('format_version')!r}")
         entity, detector, alpha, beta = require(
             payload, ("entity_model", "detector", "alpha", "beta"), "checkpoint", ModelError
         )
         model = EndefModel(
-            _load_encoder(entity, "entity_model", reads="entities"),
+            _load_encoder(entity, "entity_model"),
             _load_encoder(detector, "detector"),
             float(check_type(alpha, float, "checkpoint.alpha", ModelError)),
             float(check_type(beta, float, "checkpoint.beta", ModelError)),
@@ -308,10 +302,8 @@ def load_checkpoint(path):
         model = _load_encoder(payload, "scalar_model")
     else:
         raise ModelError(f"unknown checkpoint kind {kind!r}")
-    inference = payload.get("inference", {})
-    require(inference, (), "checkpoint inference", ModelError)
-    max_len = inference.get("max_len", MAX_SEQ_LEN)
-    scale_by_alpha = inference.get("scale_by_alpha", False)
+    (inference,) = require(payload, ("inference",), "checkpoint", ModelError)
+    max_len, scale_by_alpha = require(inference, ("max_len", "scale_by_alpha"), "checkpoint inference", ModelError)
     check_type(scale_by_alpha, bool, "checkpoint inference scale_by_alpha", ModelError)
     if isinstance(max_len, bool) or not isinstance(max_len, int) or max_len < 1:
         raise ModelError(f"checkpoint inference max_len must be a positive integer, got {max_len!r}")

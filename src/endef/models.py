@@ -25,10 +25,8 @@ MAX_SEQ_LEN = 170  # default truncation applied by callers before forward
 # what an encoder reads from a piece: its token stream, or its entity mentions
 INPUT_VIEWS = ("tokens", "entities")
 
-# checkpoint format 2 stores params as base64 of little-endian float64 bytes;
-# format 1 stored them as a JSON list of numbers and still loads
+# checkpoint format 2 stores params as base64 of little-endian float64 bytes
 CHECKPOINT_FORMAT = 2
-CHECKPOINT_FORMATS = (1, 2)
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -288,21 +286,21 @@ class ScalarModel:
         }
 
     @classmethod
-    def from_payload(cls, payload, reads="tokens"):
-        """The encoder a payload describes; `reads` is the view of a payload that records none."""
+    def from_payload(cls, payload):
+        """The encoder a payload describes."""
         from .vocab import Vocabulary
 
-        spec, vocab, params = require(payload, ("spec", "vocab", "params"), "scalar_model", ModelError)
-        version = payload.get("format_version")
-        if version not in CHECKPOINT_FORMATS:
+        (version,) = require(payload, ("format_version",), "scalar_model", ModelError)
+        if version != CHECKPOINT_FORMAT:
             raise ModelError(f"unsupported checkpoint format_version {version!r}")
         if payload.get("kind") != "scalar_model":
             raise ModelError(f"expected a scalar_model payload, got {payload.get('kind')!r}")
+        spec, vocab, params, reads = require(payload, ("spec", "vocab", "params", "reads"), "scalar_model", ModelError)
         return cls(
             from_fields(EncoderSpec, spec, "spec", ModelError),
             from_fields(Vocabulary, vocab, "vocab", ModelError),
-            params=_decode_params(params) if version == 2 else np.asarray(params, dtype=np.float64),
-            reads=payload.get("reads", reads),
+            params=_decode_params(params),
+            reads=reads,
         )
 
 

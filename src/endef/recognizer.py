@@ -60,34 +60,36 @@ class Gazetteer:
     def __len__(self):
         return len(self.entries)
 
+    def spans(self, words, bounds=None):
+        """Longest-match-leftmost scan of items against the entries' word tuples.
 
-def longest_matches(words, bounds, max_span, table, starts):
-    """Longest-match-leftmost scan of items against a table keyed by word tuples.
-
-    Item k holds words[bounds[k]:bounds[k + 1]]: one word each when bounds is
-    range(len(words) + 1), several or none otherwise. A span of items matches
-    when `table` holds its words as a tuple; at each position the longest
-    matching span of at most max_span items wins and scanning resumes after
-    it. Only positions whose first word, words[bounds[start]], is in `starts`
-    (the first words of the keys) are probed. Returns [(start, end, value), ...].
-    """
-    found = []
-    n = len(bounds) - 1
-    resume = 0
-    # flags[j]: word j can start a key; the trailing False stands for the
-    # end of the words, where only empty items begin
-    flags = [*map(starts.__contains__, words), False]
-    for i in compress(range(n), map(flags.__getitem__, bounds)):
-        if i < resume:
-            continue
-        first = bounds[i]
-        for end in range(min(i + max_span, n), i, -1):
-            value = table.get(words[first : bounds[end]])
-            if value is not None:
-                found.append((i, end, value))
-                resume = end
-                break
-    return found
+        Item k holds words[bounds[k]:bounds[k + 1]]: one word each when bounds
+        is None, several or none otherwise. A span of items matches when its
+        words are an entry's normalized words; at each position the longest
+        matching span of at most max_tokens items wins and scanning resumes
+        after it. Only positions whose first word, words[bounds[start]], can
+        start an entry are probed. Returns [(start, end, canonical entry), ...].
+        """
+        if bounds is None:
+            bounds = range(len(words) + 1)
+        table, max_span = self._table, self.max_tokens
+        found = []
+        n = len(bounds) - 1
+        resume = 0
+        # flags[j]: word j can start an entry; the trailing False stands for
+        # the end of the words, where only empty items begin
+        flags = [*map(self._starts.__contains__, words), False]
+        for i in compress(range(n), map(flags.__getitem__, bounds)):
+            if i < resume:
+                continue
+            first = bounds[i]
+            for end in range(min(i + max_span, n), i, -1):
+                value = table.get(words[first : bounds[end]])
+                if value is not None:
+                    found.append((i, end, value))
+                    resume = end
+                    break
+        return found
 
 
 def recognize(tokens, gazetteer, *, dedupe=False):
@@ -112,8 +114,7 @@ def recognize(tokens, gazetteer, *, dedupe=False):
         per_token = [_surface_words(t, fold) for t in tokens]
         words = tuple(chain.from_iterable(per_token))
         bounds = [0, *accumulate(map(len, per_token))]
-    spans = longest_matches(words, bounds, gazetteer.max_tokens, gazetteer._table, gazetteer._starts)
-    found = [e for _, _, e in spans]
+    found = [e for _, _, e in gazetteer.spans(words, bounds)]
     if dedupe:
         found = list(dict.fromkeys(found))
     return tuple(found)

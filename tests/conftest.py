@@ -4,16 +4,27 @@ import numpy as np
 import pytest
 
 from endef.augmentation import Sample, plan_records
-from endef.corpus import NewsPiece
+from endef.corpus import Corpus, NewsPiece, entity_bias_table
 from endef.experiments import flipped_bias_spec
 from endef.framework import branches, input_ids, loss_total, planned_ids, sample_ids
 from endef.models import BAG_OF_EMBEDDINGS, CONV_NGRAM, MAX_SEQ_LEN, EncoderSpec, ScalarModel
+from endef.recognizer import Gazetteer, recognize_corpus
 from endef.vocab import SPECIAL_TOKENS, Vocabulary, build_vocabulary
 
 
 def unbiased_spec(seed=7, n_train=1600, n_val=320, n_test=320):
     """Control recipe: entities carry no signal in either period."""
     return replace(flipped_bias_spec(seed, n_train, n_val, n_test), train_corr=0.5, test_corr=0.5)
+
+
+def recognized_audit(corpus, spec):
+    """The bias audit of a generated corpus whose entity lists were thrown away and recognized again from its tokens.
+
+    It reads the generator's entity lists nowhere, so it checks the ledger `generate` returns.
+    """
+    stripped = Corpus(tuple(replace(p, entities=()) for p in corpus), name=corpus.name)
+    recognized = recognize_corpus(stripped, Gazetteer(frozenset(spec.entity_names())))
+    return entity_bias_table(recognized, spec.period_boundary)
 
 
 def piece_loss(model, pieces, max_len=MAX_SEQ_LEN, stop_grad_entity_from_overall=False):

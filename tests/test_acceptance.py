@@ -12,7 +12,7 @@ import time
 import numpy as np
 
 from endef.cli import main as cli_main
-from endef.corpus import entity_bias_table, export_bias_table
+from endef.corpus import export_bias_table
 from endef.experiments import (
     default_detector_spec,
     default_entity_spec,
@@ -29,7 +29,7 @@ from endef.synthetic import generate
 from endef.training import TrainConfig, train
 from endef.vocab import SPECIAL_TOKENS, Vocabulary, build_vocabulary
 
-from conftest import dense_grad, finite_difference, make_piece, piece_loss, relu_safety_margin
+from conftest import dense_grad, finite_difference, make_piece, piece_loss, recognized_audit, relu_safety_margin
 from test_metrics import pairwise_auc_oracle, spauc_fine_grid_oracle
 
 # half the pilot-measured 10-seed gaps, frozen before this suite was finalized
@@ -294,11 +294,11 @@ def test_criterion_7_determinism_byte_identical_reports(tmp_path, capsys):
 def test_criterion_8_bias_report_matches_generator_ledger(tmp_path):
     spec = flipped_bias_spec(seed=7, n_train=600, n_val=120, n_test=120)
     corpus, ledger = generate(spec)
-    audited = entity_bias_table(corpus, spec.period_boundary)
+    audited = recognized_audit(corpus, spec)
     assert audited == ledger  # exact counts and fake fractions
     ledger_file = tmp_path / "ledger.tsv"
     audit_file = tmp_path / "audit.tsv"
     export_bias_table(ledger, ledger_file)
     export_bias_table(audited, audit_file)
     assert ledger_file.read_bytes() == audit_file.read_bytes()
-    _report(8, f"bias audit reproduces the generator ledger exactly ({len(ledger)} rows)")
+    _report(8, f"bias audit of the re-recognized corpus reproduces the generator ledger exactly ({len(ledger)} rows)")

@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import endef
 from endef.augmentation import (
     AUGMENT_ACTIONS,
     AUGMENT_KINDS,
@@ -14,6 +19,7 @@ from endef.augmentation import (
 from endef.corpus import contains_subsequence
 from endef.framework import input_ids
 from endef.models import MAX_SEQ_LEN
+from endef.recognizer import Gazetteer, recognize
 from endef.training import AugmentSettings, TrainingError
 
 from conftest import make_piece, make_plan, make_record, reference_longest_matches, shown, snapshot
@@ -128,6 +134,22 @@ def test_recompute_entities_after_edit():
     # an external entity stays external even when an edit joins its tokens
     joined = make_piece("b", ("u", "x", "v"), ("u v",))
     assert recompute_entities(joined, ("u", "v")) == ("u v",)
+
+
+def test_recount_reports_the_canonical_spelling_under_any_hash_seed():
+    # two spellings of one word tuple; string hashing, and so set order, differs between these seeds
+    tokens, entities, edited = ("New", "York", "is", "big"), ("New York", "New  York"), ("New", "York", "big")
+    code = (
+        "from endef.augmentation import recompute_entities\n"
+        "from endef.corpus import NewsPiece\n"
+        f"print(repr(recompute_entities(NewsPiece('a', {tokens!r}, {entities!r}), {edited!r})))\n"
+    )
+    package_root = str(Path(endef.__file__).resolve().parents[1])
+    for seed in ("0", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": package_root}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+        assert out.strip() == repr(("New  York",)), seed
+    assert recognize(edited, Gazetteer(frozenset(entities))) == ("New  York",)
 
 
 # Every output of `augment` on this piece at probability 1 tells which kind and action were drawn.

@@ -454,6 +454,10 @@ def test_malformed_checkpoint_fails_at_the_boundary(tmp_path, capsys):
         (("detector", "params"), "AAAA", "detector encoder: 'params' decodes to 3 bytes"),
         (("detector", "params"), one_short, f"detector encoder: 'params' must hold {n} values"),
         (("format_version",), 3, "unsupported checkpoint format_version 3"),
+        (("format_version",), 1, "unsupported checkpoint format_version 1"),
+        (("detector", "reads"), MISSING, "detector encoder: scalar_model is missing field 'reads'"),
+        (("inference",), MISSING, "checkpoint is missing field 'inference'"),
+        (("inference", "max_len"), MISSING, "checkpoint inference is missing field 'max_len'"),
         (("inference", "max_len"), "5", "checkpoint inference max_len must be a positive integer"),
         (("inference", "scale_by_alpha"), "yes", "checkpoint inference scale_by_alpha must be true or false"),
         (("inference",), [], "checkpoint inference must be a JSON object, got list"),

@@ -6,12 +6,11 @@ from dataclasses import asdict, astuple, replace
 import numpy as np
 import pytest
 
-from endef.corpus import entity_bias_table
 from endef.experiments import FLIPPED_TEST_CORR, FLIPPED_TRAIN_CORR, flipped_bias_spec
 from endef.payload import from_fields
 from endef.synthetic import _BLOCK, _RAW_CHUNK, BiasSpec, SyntheticSpecError, _Draws, entity_cdf, generate
 
-from conftest import unbiased_spec
+from conftest import recognized_audit, unbiased_spec
 
 
 def small_spec(**kwargs):
@@ -85,9 +84,9 @@ def test_entities_are_injected_as_tokens():
 
 
 def test_ledger_matches_bias_audit_exactly():
-    spec = small_spec()
-    corpus, ledger = generate(spec)
-    assert entity_bias_table(corpus, spec.period_boundary) == ledger
+    for spec in (small_spec(), BiasSpec(seed=3, n_train=2000, n_val=400, n_test=400)):
+        corpus, ledger = generate(spec)
+        assert recognized_audit(corpus, spec) == ledger
 
 
 def test_realized_correlations_near_targets():
