@@ -108,11 +108,15 @@ def _piece_from_record(raw, lowercase):
         raise CorpusError("record is not a JSON object")
     if "id" not in raw:
         raise CorpusError("missing field 'id'")
+    if isinstance(raw["id"], bool) or not isinstance(raw["id"], (str, int)):
+        raise CorpusError(f"'id' must be a string or an integer, got {raw['id']!r}")
     pid = str(raw["id"])
     if "tokens" in raw:
         tokens = _strings(raw, "tokens")
     elif "text" in raw:
-        tokens = tokenize(str(raw["text"]), lowercase=lowercase)
+        if not isinstance(raw["text"], str):
+            raise CorpusError(f"'text' must be a string, got {type(raw['text']).__name__}")
+        tokens = tokenize(raw["text"], lowercase=lowercase)
     else:
         raise CorpusError("record needs either 'tokens' or 'text'")
     for key in ("label", "timestamp"):
@@ -126,9 +130,10 @@ def _piece_from_record(raw, lowercase):
 def load_corpus(path, *, lowercase=False, name=None):
     """Read a JSONL corpus; raises CorpusError naming the offending line.
 
-    Each line is an object with fields id, tokens (or text), label,
-    timestamp and an optional entities list. A missing entities field marks
-    the piece as needing recognition.
+    Each line is an object with fields id (a string, or an integer read as
+    its decimal string), tokens (or a text string), label, timestamp and an
+    optional entities list. A missing entities field marks the piece as
+    needing recognition.
     """
     path = Path(path)
     pieces, seen = [], set()
@@ -189,9 +194,10 @@ def temporal_split(corpus, train_ratio, val_ratio, seed):
     """
     if len(corpus) == 0:
         raise CorpusError("cannot split an empty corpus")
-    if train_ratio <= 0 or val_ratio <= 0:
-        raise CorpusError("split ratios must be positive")
-    if train_ratio + val_ratio >= 1:
+    # written so that NaN fails each check
+    if not (0 < train_ratio < 1 and 0 < val_ratio < 1):
+        raise CorpusError(f"split ratios must lie in (0, 1), got {train_ratio}/{val_ratio}")
+    if not train_ratio + val_ratio < 1:
         raise CorpusError("train_ratio + val_ratio must leave room for a test part")
     ordered = sorted(corpus.pieces, key=lambda p: (p.timestamp, p.id))
     n = len(ordered)

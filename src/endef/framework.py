@@ -8,7 +8,6 @@ learned from historical data cannot steer predictions on future data.
 """
 
 import json
-import math
 from dataclasses import dataclass, replace
 from itertools import accumulate, islice
 from pathlib import Path
@@ -145,68 +144,53 @@ def loss_total(model, ids, labels, stop_grad_entity_from_overall=False):
     The fused term backpropagates into both branches (the fusion couples
     them); the auxiliary entity term touches only the entity branch. With
     stop_grad_entity_from_overall the fused term's gradient into the entity
-    branch is suppressed. A single encoder is this objective with alpha = 1,
-    beta = 0 and no entity branch. Each branch runs one forward and one
-    backward pass over the whole batch; the loss is summed one sample at a time.
+    branch is suppressed. Each branch runs one forward and one backward pass
+    over the batch, and each term is one array formula over it; a single
+    encoder is the same formula with alpha = 1, beta = 0 and entity logit 0.
     """
     if len(labels) == 0:
         raise ModelError("loss_total needs a non-empty batch")
     encoders = branches(model)
     passes = {name: enc._forward_cache(ids[name]) for name, enc in encoders.items()}
     alpha, beta = (model.alpha, model.beta) if "entity" in encoders else (1.0, 0.0)
-    r_det = passes["detector"][0].tolist()
-    r_ent = passes["entity"][0].tolist() if "entity" in encoders else None
+    r_det = passes["detector"][0]
+    r_ent = passes["entity"][0] if "entity" in encoders else np.zeros_like(r_det)
+    y = np.asarray(labels, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):  # silent, as Python floats are: the check names the sample
+        fused = sigmoid(alpha * r_det + (1.0 - alpha) * r_ent)
+        p_ent = sigmoid(r_ent)
+        l_overall = binary_cross_entropy(fused, y)
+        l_entity = binary_cross_entropy(p_ent, y)
+        (bad,) = np.nonzero(~np.isfinite(l_overall + beta * l_entity))
+    if bad.size:
+        raise ModelError(f"non-finite loss on sample {bad[0] + 1} of the batch")
     inv = 1.0 / len(labels)
-    upstream = {name: [] for name in encoders}
-    total_overall = 0.0
-    total_entity = 0.0
-    for i, label in enumerate(labels):
-        if r_ent is None:
-            fused = sigmoid(r_det[i])
-            l_entity = 0.0
-        else:
-            fused = sigmoid(alpha * r_det[i] + (1.0 - alpha) * r_ent[i])
-            p_ent = sigmoid(r_ent[i])
-            l_entity = binary_cross_entropy(p_ent, label)
-        l_overall = binary_cross_entropy(fused, label)
-        if not math.isfinite(l_overall + beta * l_entity):
-            raise ModelError(f"non-finite loss on sample {i + 1} of the batch")
-        total_overall += l_overall
-        total_entity += l_entity
-        residual = fused - label
-        upstream["detector"].append(alpha * residual * inv)
-        if r_ent is not None:
-            up_ent = beta * (p_ent - label) * inv
-            if not stop_grad_entity_from_overall:
-                up_ent += (1.0 - alpha) * residual * inv
-            upstream["entity"].append(up_ent)
+    residual = fused - y
+    upstream = {"detector": alpha * residual * inv, "entity": beta * (p_ent - y) * inv}
+    if not stop_grad_entity_from_overall:
+        upstream["entity"] += (1.0 - alpha) * residual * inv
     grads = {name: enc._backward_from_cache(passes[name][1], upstream[name]) for name, enc in encoders.items()}
+    # sequential sums: Python's sum() compensates float rounding from 3.12 on
+    total_overall, total_entity = (float(np.add.accumulate(terms)[-1]) for terms in (l_overall, l_entity))
     loss = total_overall * inv + beta * (total_entity * inv)
     return loss, grads
 
 
 def encoded_logits(encoder, ids):
-    """The raw logit of one encoder for each id sequence of an iterable, in order.
+    """The raw logit of one encoder for each id sequence of an iterable, in order, as a float64 array.
 
     Sequences are scored in fixed chunks of SCORE_CHUNK, so a piece's logit
     does not depend on which caller scores the corpus, nor on whether its
     ids were encoded in advance.
     """
     ids = iter(ids)
-    out = []
-    while chunk := list(islice(ids, SCORE_CHUNK)):
-        out += encoder._forward_cache(chunk)[0].tolist()
-    return out
+    chunks = iter(lambda: list(islice(ids, SCORE_CHUNK)), [])
+    return np.concatenate([np.zeros(0), *(encoder._forward_cache(chunk)[0] for chunk in chunks)])
 
 
 def logits(encoder, pieces, max_len=MAX_SEQ_LEN):
     """The raw logit of one encoder for every piece, read from the encoder's view, in corpus order."""
     return encoded_logits(encoder, (input_ids(encoder, p, max_len) for p in pieces))
-
-
-def probabilities(r):
-    """Sigmoid of each logit, as a float64 array."""
-    return np.array([sigmoid(x) for x in r], dtype=np.float64)
 
 
 def score(model, pieces, max_len=MAX_SEQ_LEN, scale_by_alpha=False):
@@ -216,10 +200,8 @@ def score(model, pieces, max_len=MAX_SEQ_LEN, scale_by_alpha=False):
     weight before the sigmoid; rankings (AUC-family metrics) are unaffected
     either way, and a single encoder has nothing to scale.
     """
-    r = logits(branches(model)["detector"], pieces, max_len)
-    if scale_by_alpha and isinstance(model, EndefModel):
-        r = [model.alpha * x for x in r]
-    return probabilities(r)
+    scale = model.alpha if scale_by_alpha and isinstance(model, EndefModel) else 1.0
+    return sigmoid(scale * logits(branches(model)["detector"], pieces, max_len))
 
 
 def case_report(model, corpus, max_len=MAX_SEQ_LEN, scale_by_alpha=False):
@@ -229,20 +211,16 @@ def case_report(model, corpus, max_len=MAX_SEQ_LEN, scale_by_alpha=False):
     alpha = model.alpha
     r_det = logits(model.detector, corpus, max_len)
     r_ent = logits(model.entity_model, corpus, max_len)
-    rows = []
-    for piece, d, e in zip(corpus, r_det, r_ent):
-        p_detector = sigmoid(d)
-        rows.append(
-            {
-                "id": piece.id,
-                "p_entity": sigmoid(e),
-                "p_detector": p_detector,
-                "p_fused": sigmoid(alpha * d + (1.0 - alpha) * e),
-                "p_debiased": sigmoid(alpha * d) if scale_by_alpha else p_detector,
-                "label": piece.label,
-            }
-        )
-    return rows
+    p_detector = sigmoid(r_det)
+    columns = {
+        "id": [piece.id for piece in corpus],
+        "p_entity": sigmoid(r_ent).tolist(),
+        "p_detector": p_detector.tolist(),
+        "p_fused": sigmoid(alpha * r_det + (1.0 - alpha) * r_ent).tolist(),
+        "p_debiased": (sigmoid(alpha * r_det) if scale_by_alpha else p_detector).tolist(),
+        "label": [piece.label for piece in corpus],
+    }
+    return [dict(zip(columns, row)) for row in zip(*columns.values())]
 
 
 class Checkpoint(NamedTuple):

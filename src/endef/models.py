@@ -4,7 +4,8 @@ Two scalar-logit encoders satisfy the detector contract: a mean-pooled
 bag-of-embeddings MLP and an n-gram convolution encoder with per-window max
 pooling. All parameters of a model live in one flat float64 vector; a layout
 object maps named tensors into slices of it, which keeps finite-difference
-checks and optimizer state trivial.
+checks and optimizer state trivial. `sigmoid` and `binary_cross_entropy`
+map arrays to float64 arrays, each element bit for bit the scalar formula.
 """
 
 import base64
@@ -41,17 +42,22 @@ class ModelError(ValueError):
     """Invalid model configuration, input, or a diverged computation."""
 
 
+def _each(fn, x):
+    """`math.exp` or `math.log` of each element: `np.exp` and `np.log` miss their last bit on some inputs."""
+    return np.fromiter(map(fn, x.ravel().tolist()), np.float64, x.size).reshape(x.shape)
+
+
 def sigmoid(z):
-    if z >= 0:
-        return 1.0 / (1.0 + math.exp(-z))
-    ez = math.exp(z)
-    return ez / (1.0 + ez)
+    """The logistic function of each element of `z`, as a float64 array; exp of -|z| never overflows."""
+    z = np.asarray(z, dtype=np.float64)
+    e = _each(math.exp, -np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def binary_cross_entropy(prob, label, floor=PROB_FLOOR):
-    """-y log p - (1-y) log(1-p) with p clamped away from {0, 1}."""
-    p = min(max(prob, floor), 1.0 - floor)
-    return -math.log(p) if label == 1 else -math.log(1.0 - p)
+    """-y log p - (1-y) log(1-p) of each element, with p clamped away from {0, 1}, as a float64 array."""
+    p = np.clip(np.asarray(prob, dtype=np.float64), floor, 1.0 - floor)
+    return -_each(math.log, np.where(np.asarray(label) == 1, p, 1.0 - p))
 
 
 @dataclass(frozen=True)

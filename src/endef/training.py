@@ -24,13 +24,12 @@ from .framework import (
     loss_total,
     make_endef_model,
     planned_ids,
-    probabilities,
     sample_ids,
     score,
     truncate_piece,
 )
 from .metrics import DEFAULT_MAXFPR, PredictionSet, evaluate, f1_scores
-from .models import MAX_SEQ_LEN, AdamState, ModelError, adam_step
+from .models import MAX_SEQ_LEN, AdamState, ModelError, adam_step, sigmoid
 from .vocab import build_vocabulary
 
 
@@ -178,7 +177,7 @@ def train(model, split, cfg):
             for name, enc in encoders.items():
                 enc.params = adam_step(enc.params, grads[name], opts[name], cfg.lr, step)
             loss_sum += loss * len(batch_idx)
-        val_scores = probabilities(encoded_logits(encoders["detector"], val_ids))
+        val_scores = sigmoid(encoded_logits(encoders["detector"], val_ids))
         val_macf1 = f1_scores(PredictionSet(val_scores, val_labels)).macf1
         improved = val_macf1 > best_metric
         history.append(

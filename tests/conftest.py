@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,7 @@ from endef.augmentation import Sample, plan_records
 from endef.corpus import Corpus, NewsPiece, entity_bias_table
 from endef.experiments import flipped_bias_spec
 from endef.framework import branches, input_ids, loss_total, planned_ids, sample_ids
-from endef.models import BAG_OF_EMBEDDINGS, CONV_NGRAM, MAX_SEQ_LEN, EncoderSpec, ScalarModel
+from endef.models import BAG_OF_EMBEDDINGS, CONV_NGRAM, MAX_SEQ_LEN, PROB_FLOOR, EncoderSpec, ModelError, ScalarModel
 from endef.recognizer import Gazetteer, recognize_corpus
 from endef.vocab import SPECIAL_TOKENS, Vocabulary, build_vocabulary
 
@@ -31,6 +32,61 @@ def piece_loss(model, pieces, max_len=MAX_SEQ_LEN, stop_grad_entity_from_overall
     """`loss_total` of a batch of pieces, each branch reading `input_ids` of every piece."""
     ids = {name: [input_ids(enc, p, max_len) for p in pieces] for name, enc in branches(model).items()}
     return loss_total(model, ids, [p.label for p in pieces], stop_grad_entity_from_overall)
+
+
+def reference_sigmoid(z):
+    """The scalar logistic function that `models.sigmoid` applies to every element."""
+    if z >= 0:
+        return 1.0 / (1.0 + math.exp(-z))
+    ez = math.exp(z)
+    return ez / (1.0 + ez)
+
+
+def reference_cross_entropy(prob, label, floor=PROB_FLOOR):
+    """The scalar clamped cross-entropy that `models.binary_cross_entropy` applies to every element."""
+    p = min(max(prob, floor), 1.0 - floor)
+    return -math.log(p) if label == 1 else -math.log(1.0 - p)
+
+
+def reference_loss_total(model, ids, labels, stop_grad_entity_from_overall=False):
+    """`framework.loss_total` as a loop over the samples of the batch, with scalar sigmoid and cross-entropy.
+
+    A single encoder takes its own path here: no entity term, alpha = 1.
+    """
+    if len(labels) == 0:
+        raise ModelError("loss_total needs a non-empty batch")
+    encoders = branches(model)
+    passes = {name: enc._forward_cache(ids[name]) for name, enc in encoders.items()}
+    alpha, beta = (model.alpha, model.beta) if "entity" in encoders else (1.0, 0.0)
+    r_det = passes["detector"][0].tolist()
+    r_ent = passes["entity"][0].tolist() if "entity" in encoders else None
+    inv = 1.0 / len(labels)
+    upstream = {name: [] for name in encoders}
+    total_overall = 0.0
+    total_entity = 0.0
+    for i, label in enumerate(labels):
+        if r_ent is None:
+            fused = reference_sigmoid(r_det[i])
+            l_entity = 0.0
+        else:
+            fused = reference_sigmoid(alpha * r_det[i] + (1.0 - alpha) * r_ent[i])
+            p_ent = reference_sigmoid(r_ent[i])
+            l_entity = reference_cross_entropy(p_ent, label)
+        l_overall = reference_cross_entropy(fused, label)
+        if not math.isfinite(l_overall + beta * l_entity):
+            raise ModelError(f"non-finite loss on sample {i + 1} of the batch")
+        total_overall += l_overall
+        total_entity += l_entity
+        residual = fused - label
+        upstream["detector"].append(alpha * residual * inv)
+        if r_ent is not None:
+            up_ent = beta * (p_ent - label) * inv
+            if not stop_grad_entity_from_overall:
+                up_ent += (1.0 - alpha) * residual * inv
+            upstream["entity"].append(up_ent)
+    grads = {name: enc._backward_from_cache(passes[name][1], upstream[name]) for name, enc in encoders.items()}
+    loss = total_overall * inv + beta * (total_entity * inv)
+    return loss, grads
 
 
 def tiny_vocab(n_words=8):

@@ -174,7 +174,7 @@ def test_criterion_4_loss_algebra_and_trajectory_equivalence():
         lb = piece_loss(with_beta, batch)[0]
         l0 = piece_loss(without, batch)[0]
         r_ent = logits(with_beta.entity_model, batch)
-        mean_entity = sum(binary_cross_entropy(sigmoid(r), p.label) for r, p in zip(r_ent, batch)) / len(batch)
+        mean_entity = sum(binary_cross_entropy(sigmoid(r_ent), [p.label for p in batch]).tolist()) / len(batch)
         assert abs((lb - l0) - beta * mean_entity) <= 1e-12
 
     # alpha=1, beta=0 fused training walks the baseline trajectory bit for bit

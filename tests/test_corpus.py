@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -98,6 +99,32 @@ def test_load_text_field_is_tokenized(tmp_path):
     write_jsonl(path, [{"id": "p0", "text": "Hello, world!", "entities": [], "label": 1, "timestamp": 3}])
     piece = load_corpus(path).pieces[0]
     assert piece.tokens == ("Hello", ",", "world", "!")
+
+
+def test_load_refuses_a_non_string_id_or_text(tmp_path):
+    path = tmp_path / "c.jsonl"
+    for bad in (None, 3.5, True, ["p"], {"p": 1}):
+        records = [record(i) for i in range(3)]
+        records[1]["id"] = bad  # line 2
+        write_jsonl(path, records)
+        with pytest.raises(CorpusError, match="line 2: 'id' must be a string or an integer"):
+            load_corpus(path)
+    for bad in (None, 7, ["Hello"]):
+        records = [record(i) for i in range(3)]
+        del records[2]["tokens"]
+        records[2]["text"] = bad  # line 3
+        write_jsonl(path, records)
+        with pytest.raises(CorpusError, match="line 3: 'text' must be a string"):
+            load_corpus(path)
+
+
+def test_load_integer_id_reads_as_its_decimal_string(tmp_path):
+    path = tmp_path / "c.jsonl"
+    records = [record(i) for i in range(2)]
+    records[0]["id"] = 17
+    records[1]["id"] = -3
+    write_jsonl(path, records)
+    assert load_corpus(path).ids() == ("17", "-3")
 
 
 def test_tokenize_lowercase_flag():
@@ -220,6 +247,9 @@ def test_temporal_split_errors():
     big = Corpus(tuple(make_piece(f"p{i}", ("x",), (), 0, i) for i in range(10)))
     with pytest.raises(CorpusError):
         temporal_split(big, 0.7, 0.3, 0)  # no room for test
+    for ratios in ((math.nan, 0.2), (0.6, math.nan), (math.inf, 0.2), (0.6, math.inf), (-math.inf, 0.2)):
+        with pytest.raises(CorpusError, match="split ratios must lie in"):
+            temporal_split(big, *ratios, 0)
 
 
 def test_split_without_test_part_keeps_its_checks():

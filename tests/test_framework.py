@@ -15,6 +15,7 @@ from endef.framework import (
     input_ids,
     load_checkpoint,
     logits,
+    loss_total,
     make_endef_model,
     save_checkpoint,
     score,
@@ -36,6 +37,9 @@ from conftest import (
     make_piece,
     max_relative_error,
     piece_loss,
+    reference_cross_entropy,
+    reference_loss_total,
+    reference_sigmoid,
     relu_safety_margin,
     tiny_spec,
     tiny_vocab,
@@ -71,7 +75,7 @@ def test_fused_forward_zero_logits_give_half():
     force_logits(model, 0.0, 0.0)
     piece = sample_batch()[0]
     assert case_report(model, [piece])[0]["p_fused"] == 0.5
-    assert logits(model.detector, [piece]) == [0.0] and entity_logits(model, [piece]) == [0.0]
+    assert logits(model.detector, [piece]).tolist() == [0.0] and entity_logits(model, [piece]).tolist() == [0.0]
 
 
 def test_fusion_weights_are_range_checked_and_nan_is_rejected():
@@ -85,7 +89,7 @@ def test_fusion_weights_are_range_checked_and_nan_is_rejected():
 def test_alpha_one_ignores_entity_branch():
     model = small_model(alpha=1.0)
     force_logits(model, 2.5, -40.0)
-    assert case_report(model, sample_batch()[:1])[0]["p_fused"] == sigmoid(2.5)
+    assert case_report(model, sample_batch()[:1])[0]["p_fused"] == reference_sigmoid(2.5)
 
 
 def test_fused_forward_fixed_values():
@@ -127,7 +131,7 @@ def test_loss_total_beta_zero_equals_overall_alone():
     batch = sample_batch()
     loss, _ = piece_loss(model, batch)
     rows = case_report(model, batch)
-    expect = sum(binary_cross_entropy(r["p_fused"], p.label) for r, p in zip(rows, batch)) / len(batch)
+    expect = sum(reference_cross_entropy(r["p_fused"], p.label) for r, p in zip(rows, batch)) / len(batch)
     assert loss == pytest.approx(expect, abs=1e-15)
 
 
@@ -139,7 +143,7 @@ def test_loss_total_decomposition_identity():
         lb = piece_loss(model_b, batch)[0]
         l0 = piece_loss(model_0, batch)[0]
         r_ent = entity_logits(model_b, batch)
-        mean_entity = sum(binary_cross_entropy(sigmoid(r), p.label) for r, p in zip(r_ent, batch)) / len(batch)
+        mean_entity = sum(reference_cross_entropy(reference_sigmoid(r), p.label) for r, p in zip(r_ent, batch)) / len(batch)
         assert lb - l0 == pytest.approx(beta * mean_entity, abs=1e-12)
 
 
@@ -153,6 +157,63 @@ def test_loss_total_alpha_one_beta_zero_entity_gradient_is_zero():
 def test_loss_total_empty_batch_rejected():
     with pytest.raises(ModelError):
         piece_loss(small_model(), [])
+
+
+def random_ids(rng, model, n):
+    """Random id sequences, 1-6 long, for every branch of a model; out-of-range ids read as [UNK]."""
+    return {
+        name: [rng.integers(-1, enc.vocab.size + 1, size=int(rng.integers(1, 7))) for _ in range(n)]
+        for name, enc in branches(model).items()
+    }
+
+
+def assert_same_loss(model, ids, labels, stop_grad=False):
+    loss, grads = loss_total(model, ids, labels, stop_grad)
+    ref_loss, ref_grads = reference_loss_total(model, ids, labels, stop_grad)
+    assert type(loss) is float and loss == ref_loss
+    assert set(grads) == set(ref_grads) == set(branches(model))
+    for name, grad in grads.items():
+        for got, want in zip(grad, ref_grads[name]):
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
+def test_loss_total_equals_the_per_sample_loop():
+    rng = np.random.default_rng(5)
+    vocab = tiny_vocab()
+    weights = [(alpha, beta) for alpha in (0.0, 0.8, 1.0, None) for beta in (0.0, 0.2, None)] * 3
+    for trial, (alpha, beta) in enumerate(weights):
+        det_kind, ent_kind = (str(kind) for kind in rng.choice([BAG_OF_EMBEDDINGS, CONV_NGRAM], size=2))
+        alpha = float(rng.uniform()) if alpha is None else alpha
+        beta = float(rng.uniform(0.0, 3.0)) if beta is None else beta
+        fused = make_endef_model(
+            tiny_spec(det_kind, rng), tiny_spec(ent_kind, rng), vocab, seed=trial, alpha=alpha, beta=beta
+        )
+        single = ScalarModel(tiny_spec(det_kind, rng), vocab, seed=trial, reads=str(rng.choice(["tokens", "entities"])))
+        n = int(rng.integers(1, 70))
+        labels = rng.integers(0, 2, size=n).tolist()
+        for model in (fused, single):
+            ids = random_ids(rng, model, n)
+            for stop_grad in (False, True):
+                assert_same_loss(model, ids, labels, stop_grad)
+            # saturated logits: the clamp and the far tails of the sigmoid
+            for out_b in (40.0, -40.0, 745.0, -745.0, 1e6):
+                for enc in branches(model).values():
+                    enc.layout.view(enc.params, "out_b")[0] = out_b * rng.choice([-1.0, 1.0])
+                assert_same_loss(model, ids, labels)
+
+
+def test_loss_total_names_the_first_non_finite_sample():
+    vocab = tiny_vocab()
+    pieces = sample_batch()
+    labels = [p.label for p in pieces]
+    for model in (small_model(), small_model(alpha=1.0, beta=0.0), ScalarModel(tiny_spec(BAG_OF_EMBEDDINGS), vocab)):
+        # only s3 reads w6, and it reads w6 in both views
+        for enc in branches(model).values():
+            enc.layout.view(enc.params, "embed")[vocab.encode_tokens(("w6",), 1)[0]] = math.nan
+        ids = {name: [input_ids(enc, p, MAX_SEQ_LEN) for p in pieces] for name, enc in branches(model).items()}
+        for objective in (loss_total, reference_loss_total):
+            with pytest.raises(ModelError, match="^non-finite loss on sample 3 of the batch$"):
+                objective(model, ids, labels)
 
 
 def test_loss_total_gradient_matches_finite_differences_all_kind_pairs():
@@ -246,8 +307,8 @@ def test_debiased_predict_scale_by_alpha_flag():
     model = small_model(alpha=0.8)
     force_logits(model, 2.0, 0.0)
     piece = sample_batch()[0]
-    assert score(model, [piece])[0] == sigmoid(2.0)
-    assert score(model, [piece], scale_by_alpha=True)[0] == sigmoid(0.8 * 2.0)
+    assert score(model, [piece])[0] == reference_sigmoid(2.0)
+    assert score(model, [piece], scale_by_alpha=True)[0] == reference_sigmoid(0.8 * 2.0)
 
 
 def test_biased_predict_consistency():
@@ -256,9 +317,9 @@ def test_biased_predict_consistency():
     case = case_report(model, [piece])[0]
     r_det = logits(model.detector, [piece])[0]
     r_ent = entity_logits(model, [piece])[0]
-    refused = sigmoid(model.alpha * r_det + (1 - model.alpha) * r_ent)
+    refused = reference_sigmoid(model.alpha * r_det + (1 - model.alpha) * r_ent)
     assert abs(case["p_fused"] - refused) <= 1e-15
-    assert case["p_detector"] == sigmoid(r_det) and case["p_entity"] == sigmoid(r_ent)
+    assert case["p_detector"] == reference_sigmoid(r_det) and case["p_entity"] == reference_sigmoid(r_ent)
     for value in (case["p_entity"], case["p_detector"], case["p_fused"]):
         assert 0.0 <= value <= 1.0
 

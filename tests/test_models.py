@@ -20,7 +20,17 @@ from endef.models import (
     sigmoid,
 )
 
-from conftest import backward, dense_grad, finite_difference, max_relative_error, relu_safety_margin, tiny_spec, tiny_vocab
+from conftest import (
+    backward,
+    dense_grad,
+    finite_difference,
+    max_relative_error,
+    reference_cross_entropy,
+    reference_sigmoid,
+    relu_safety_margin,
+    tiny_spec,
+    tiny_vocab,
+)
 
 
 def test_spec_validation():
@@ -554,10 +564,45 @@ def test_checkpoint_payload_round_trip():
 
 
 def test_sigmoid_and_cross_entropy():
-    assert sigmoid(0.0) == 0.5
-    assert sigmoid(50.0) == pytest.approx(1.0)
-    assert sigmoid(-50.0) == pytest.approx(0.0, abs=1e-20)
-    assert binary_cross_entropy(0.5, 1) == pytest.approx(math.log(2))
-    assert binary_cross_entropy(1.0, 1) == pytest.approx(0.0, abs=1e-11)
-    assert math.isfinite(binary_cross_entropy(0.0, 1))
-    assert math.isfinite(binary_cross_entropy(1.0, 0))
+    p = sigmoid([0.0, 50.0, -50.0])
+    assert p.dtype == np.float64 and p.shape == (3,)
+    assert p[0] == 0.5
+    assert p[1] == pytest.approx(1.0)
+    assert p[2] == pytest.approx(0.0, abs=1e-20)
+    ce = binary_cross_entropy([0.5, 1.0, 0.0, 1.0], [1, 1, 1, 0])
+    assert ce.dtype == np.float64 and ce.shape == (4,)
+    assert ce[0] == pytest.approx(math.log(2))
+    assert ce[1] == pytest.approx(0.0, abs=1e-11)
+    assert math.isfinite(ce[2])
+    assert math.isfinite(ce[3])
+
+
+SPECIAL_VALUES = (0.0, -0.0, 1e-300, -1e-300, 36.8, -36.8, 745.0, -745.0, math.inf, -math.inf, math.nan)
+
+
+def same_value(a, b):
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+def test_array_sigmoid_and_cross_entropy_equal_the_scalar_formulas():
+    # the special values, then ordinary logits: np.exp and np.log miss math's last bit on about 2 % of these
+    z = np.concatenate([SPECIAL_VALUES, np.random.default_rng(3).normal(0.0, 10.0, 2000)])
+    got = sigmoid(z)
+    assert got.shape == z.shape and got.dtype == np.float64
+    for v, p in zip(z.tolist(), got.tolist()):
+        assert same_value(p, reference_sigmoid(v)), v
+    # probabilities at and beyond the clamp, exact sigmoid outputs, and both labels
+    probs = np.concatenate([SPECIAL_VALUES, (0.5, 1.0, 1.0 - 1e-15, 2.0), got])
+    for label in (0, 1):
+        ce = binary_cross_entropy(probs, np.full(probs.size, label))
+        for q, c in zip(probs.tolist(), ce.tolist()):
+            assert same_value(c, reference_cross_entropy(q, label)), (q, label)
+    mixed = np.arange(probs.size) % 2
+    assert all(
+        same_value(c, reference_cross_entropy(q, y))
+        for q, y, c in zip(probs.tolist(), mixed.tolist(), binary_cross_entropy(probs, mixed).tolist())
+    )
+    # a 2-D array keeps its shape
+    assert np.array_equal(sigmoid(z[:10].reshape(2, 5)), got[:10].reshape(2, 5), equal_nan=True)
+
+
