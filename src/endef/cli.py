@@ -10,17 +10,17 @@ import argparse
 import json
 import platform
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .corpus import SplitResult, entity_bias_table, export_bias_table, load_corpus, save_corpus, temporal_split
+from .corpus import SplitResult, entity_bias_table, export_bias_table, is_label, load_corpus, save_corpus, temporal_split
 from .framework import case_report, default_entity_spec, load_checkpoint, make_endef_model, save_checkpoint
 from .metrics import PredictionSet, aggregate_reports, evaluate, format_aggregate_table
 from .models import BAG_OF_EMBEDDINGS, EncoderSpec, ScalarModel
-from .payload import from_fields
+from .payload import check_type, from_fields, require
 from .recognizer import Gazetteer, recognize_corpus
 from .synthetic import BiasSpec, generate
 from .training import TrainConfig, TrainingError, evaluate_model, grid_search_alpha, train
@@ -131,9 +131,9 @@ def cmd_recognize(args):
     return 0
 
 
-def _write_history(path, history):
+def _write_jsonl(path, rows):
     with Path(path).open("w", encoding="utf-8") as fh:
-        for row in history:
+        for row in rows:
             fh.write(json.dumps(row, sort_keys=True) + "\n")
 
 
@@ -155,7 +155,7 @@ def _train_single(mode, split, evaluate_test, cfg, setup, out):
     result = train(_build_model(mode, cfg, setup, vocab), split, cfg)
     out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(result.model, out / "checkpoint.json", cfg.max_len, scale_by_alpha)
-    _write_history(out / "history.jsonl", result.history)
+    _write_jsonl(out / "history.jsonl", result.history)
     if not evaluate_test:
         return None
     report = evaluate_model(result.model, split.test, cfg.max_len, scale_by_alpha=scale_by_alpha)
@@ -189,17 +189,22 @@ def cmd_train(args):
 
 
 def _load_predictions(path):
+    """The scores and labels of a JSONL file of {score, label} records: a score is a JSON number, a label `is_label`."""
     scores, labels = [], []
     with Path(path).open(encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
+            where = f"{path}: line {lineno}"
             try:
                 row = json.loads(line)
-                scores.append(float(row["score"]))
-                labels.append(int(row["label"]))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"{path}: line {lineno}: bad prediction record: {exc}") from None
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{where}: bad prediction record: {exc}") from None
+            score, label = require(row, ("score", "label"), f"{where}: prediction record", ValueError)
+            scores.append(float(check_type(score, float, f"{where}: field 'score'", ValueError)))
+            if not is_label(label):
+                raise ValueError(f"{where}: field 'label' must be the integer 0 or 1, got {label!r}")
+            labels.append(label)
     return PredictionSet(np.array(scores), np.array(labels))
 
 
@@ -241,9 +246,7 @@ def cmd_case_report(args):
     scale_by_alpha = args.scale_by_alpha or checkpoint.scale_by_alpha
     rows = case_report(checkpoint.model, corpus, checkpoint.max_len, scale_by_alpha)
     out = _out_dir(args)
-    with (out / "cases.jsonl").open("w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
+    _write_jsonl(out / "cases.jsonl", rows)
     config = {"checkpoint": str(args.checkpoint), "corpus": str(args.corpus), "scale_by_alpha": args.scale_by_alpha}
     _write_provenance(out, "case-report", config, None)
     print(f"wrote {len(rows)} case rows to {out / 'cases.jsonl'}")
@@ -263,6 +266,14 @@ def cmd_grid_alpha(args):
     _write_provenance(out, "grid-alpha", asdict(setup), setup.train.seed)
     print(f"best alpha: {best_alpha:.1f}")
     return 0
+
+
+def _add_train_overrides(parser, skip=()):
+    """One `--flag` per `_TRAIN_OVERRIDES` field not in `skip`, typed as the `TrainConfig` field it overrides."""
+    types = {f.name: f.type for f in fields(TrainConfig)}
+    for key in _TRAIN_OVERRIDES:
+        if key not in skip:
+            parser.add_argument(f"--{key.replace('_', '-')}", dest=key, type=types[key], default=None)
 
 
 def build_parser():
@@ -299,17 +310,7 @@ def build_parser():
     p.add_argument("--config", default=None, help="JSON config file")
     p.add_argument("--mode", choices=("endef", "baseline", "entity-only"), default="endef")
     p.add_argument("--runs", type=int, default=1, help="sequential seeded runs to aggregate")
-    for key, typ in (
-        ("lr", float),
-        ("batch-size", int),
-        ("max-epochs", int),
-        ("patience", int),
-        ("seed", int),
-        ("alpha", float),
-        ("beta", float),
-        ("max-len", int),
-    ):
-        p.add_argument(f"--{key}", dest=key.replace("-", "_"), type=typ, default=None)
+    _add_train_overrides(p)
     p.add_argument("--augment-p", type=float, default=None)
     p.add_argument("--no-augment", action="store_true")
     p.add_argument("--out-dir", required=True)
@@ -340,8 +341,7 @@ def build_parser():
     p.add_argument("--train", required=True)
     p.add_argument("--val", required=True)
     p.add_argument("--config", default=None)
-    for key, typ in (("lr", float), ("batch-size", int), ("max-epochs", int), ("patience", int), ("seed", int), ("beta", float)):
-        p.add_argument(f"--{key}", dest=key.replace("-", "_"), type=typ, default=None)
+    _add_train_overrides(p, skip=("alpha", "max_len"))
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_grid_alpha)
 

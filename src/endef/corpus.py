@@ -31,6 +31,11 @@ def contains_subsequence(tokens, sub):
     return any(tuple(tokens[i : i + m]) == sub for i in range(len(tokens) - m + 1))
 
 
+def is_label(value):
+    """The one label rule: a label is the Python int 0 (real) or 1 (fake); booleans and floats are refused."""
+    return type(value) is int and value in (0, 1)
+
+
 @dataclass(frozen=True)
 class NewsPiece:
     """One news sample: tokens, recognized entities, binary label, timestamp.
@@ -56,8 +61,8 @@ class NewsPiece:
             raise CorpusError("piece id must be a non-empty string")
         if len(self.tokens) < 1:
             raise CorpusError(f"piece {self.id!r}: token sequence is empty")
-        if isinstance(self.label, bool) or self.label not in (0, 1):
-            raise CorpusError(f"piece {self.id!r}: label must be 0 or 1, got {self.label!r}")
+        if not is_label(self.label):
+            raise CorpusError(f"piece {self.id!r}: label must be the integer 0 or 1, got {self.label!r}")
         if isinstance(self.timestamp, bool) or not isinstance(self.timestamp, int) or self.timestamp < 0:
             raise CorpusError(f"piece {self.id!r}: timestamp must be a non-negative integer, got {self.timestamp!r}")
         if any(not e for e in self.entities):

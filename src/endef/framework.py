@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .augmentation import Sample, recompute_entities
+from .augmentation import recompute_entities
 from .models import (
     BAG_OF_EMBEDDINGS,
     CHECKPOINT_FORMAT,
@@ -110,35 +110,11 @@ def planned_ids(encoder, pieces, max_len):
     return [flat[a:b] for a, b in zip([0, *ends], ends)]
 
 
-def sample_ids(encoder, planned, sample, max_len):
-    """The ids an encoder reads from a training sample, given `planned`, those it reads from the unedited piece.
-
-    An unedited record reads `planned`. For an edited `augmentation.Sample`,
-    a token reader's ids are `planned` with [MASK]'s id written at the
-    masked positions, or only the kept positions left: training pieces are
-    cut to max_len before they are planned, so their token ids line up with
-    their tokens. An entity reader's ids are re-encoded only when the edit
-    changed the entity list; an edit never lengthens a planned piece, so
-    there is nothing left to truncate.
-    """
-    if not isinstance(sample, Sample):
-        return planned
-    if encoder.reads == "tokens":
-        if sample.kept is not None:
-            return planned[sample.kept]
-        ids = planned.copy()
-        ids[list(sample.masked)] = encoder.vocab.mask_id
-        return ids
-    if sample.entities == sample.record.piece.entities:
-        return planned
-    return encoder.vocab.encode_entities(sample.entities, max_len)
-
-
 def loss_total(model, ids, labels, stop_grad_entity_from_overall=False):
     """Mean fused loss plus beta times mean entity loss, with gradients for every branch.
 
     `ids` maps each name of `branches(model)` to the ids that branch reads
-    from each sample (training derives them with `sample_ids`); `labels`
+    from each sample (training asks each sample for its `ids`); `labels`
     holds each sample's label. Returns (loss, grads), grads keyed like
     `ids`, each branch's `models.SparseGrad` as its backward pass gives it.
     The fused term backpropagates into both branches (the fusion couples

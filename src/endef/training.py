@@ -24,7 +24,6 @@ from .framework import (
     loss_total,
     make_endef_model,
     planned_ids,
-    sample_ids,
     score,
     truncate_piece,
 )
@@ -134,10 +133,10 @@ def train(model, split, cfg):
     Each encoder reads the view it was built with; a single encoder that
     reads entities is the entity-only shortcut classifier. Training pieces
     are truncated up front because augmentation draws per token of the
-    truncated piece; each is then scanned once into a record
-    (`augmentation.plan_records`) and encoded once per branch
-    (`framework.planned_ids`), so a batch re-derives ids only for the
-    samples augmentation edited. The validation ids are encoded once too.
+    truncated piece; each is encoded once per input view
+    (`framework.planned_ids`) and scanned once into a record that keeps
+    those ids (`augmentation.plan_records`), so only edited samples
+    re-derive ids in a batch. The validation ids are encoded once too.
     The model is updated in place and, after the run, holds the parameters
     of the best validation epoch (not the last one).
     """
@@ -146,9 +145,8 @@ def train(model, split, cfg):
     opts = {name: AdamState.zeros(enc.num_params) for name, enc in encoders.items()}
     shuffle_rng, augment_rng = _rng_streams(cfg.seed)
     pieces = [truncate_piece(p, cfg.max_len) for p in split.train]
-    records = aug.plan_records(pieces)
+    records = aug.plan_records(pieces, {e.reads: planned_ids(e, pieces, cfg.max_len) for e in encoders.values()})
     labels = [p.label for p in pieces]
-    plan = {name: planned_ids(enc, pieces, cfg.max_len) for name, enc in encoders.items()}
     # one small array per validation piece: a flat one raised score-new-period's peak RSS by 14 MB
     val_ids = [input_ids(encoders["detector"], p, cfg.max_len) for p in split.validation]
     val_labels = labels_of(split.validation)
@@ -165,10 +163,7 @@ def train(model, split, cfg):
         for start in range(0, n, cfg.batch_size):
             batch_idx = order[start : start + cfg.batch_size]
             batch = [aug.augment(records[i], cfg.augment, augment_rng) for i in batch_idx]
-            ids = {
-                name: [sample_ids(enc, plan[name][i], s, cfg.max_len) for i, s in zip(batch_idx, batch)]
-                for name, enc in encoders.items()
-            }
+            ids = {name: [s.ids(enc, cfg.max_len) for s in batch] for name, enc in encoders.items()}
             step += 1
             try:
                 loss, grads = loss_total(model, ids, [labels[i] for i in batch_idx], cfg.stop_grad_entity_from_overall)

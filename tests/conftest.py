@@ -4,13 +4,22 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from endef.augmentation import Sample, plan_records
+from endef.augmentation import Sample, plan_records, recompute_entities
 from endef.corpus import Corpus, NewsPiece, entity_bias_table
 from endef.experiments import flipped_bias_spec
-from endef.framework import branches, input_ids, loss_total, planned_ids, sample_ids
-from endef.models import BAG_OF_EMBEDDINGS, CONV_NGRAM, MAX_SEQ_LEN, PROB_FLOOR, EncoderSpec, ModelError, ScalarModel
+from endef.framework import branches, input_ids, loss_total, planned_ids
+from endef.models import (
+    BAG_OF_EMBEDDINGS,
+    CONV_NGRAM,
+    INPUT_VIEWS,
+    MAX_SEQ_LEN,
+    PROB_FLOOR,
+    EncoderSpec,
+    ModelError,
+    ScalarModel,
+)
 from endef.recognizer import Gazetteer, recognize_corpus
-from endef.vocab import SPECIAL_TOKENS, Vocabulary, build_vocabulary
+from endef.vocab import MASK_TOKEN, SPECIAL_TOKENS, Vocabulary, build_vocabulary
 
 
 def unbiased_spec(seed=7, n_train=1600, n_val=320, n_test=320):
@@ -189,38 +198,42 @@ def make_piece(pid, tokens, entities=(), label=0, timestamp=0):
     return NewsPiece(pid, tuple(tokens), tuple(entities), label, timestamp)
 
 
-def make_record(piece):
-    return plan_records([piece])[0]
-
-
 def make_plan(pieces, max_len=MAX_SEQ_LEN):
-    """Training records of pieces, a token reader and an entity reader on the pieces' words, and each record's planned ids.
+    """Training records of pieces, planned for a token reader and an entity reader on the pieces' words.
 
-    Returns (records, encoders by branch name, one dict of planned ids by branch name per record).
+    Returns (records, encoders by the view each reads).
     """
     pieces = list(pieces)
     vocab = build_vocabulary(pieces, 1)
-    encoders = {
-        "tokens": ScalarModel(tiny_spec(BAG_OF_EMBEDDINGS), vocab),
-        "entities": ScalarModel(tiny_spec(BAG_OF_EMBEDDINGS), vocab, reads="entities"),
-    }
-    planned = {name: planned_ids(enc, pieces, max_len) for name, enc in encoders.items()}
-    rows = [{name: ids[row] for name, ids in planned.items()} for row in range(len(pieces))]
-    return plan_records(pieces), encoders, rows
+    encoders = {view: ScalarModel(tiny_spec(BAG_OF_EMBEDDINGS), vocab, reads=view) for view in INPUT_VIEWS}
+    return plan_records(pieces, {view: planned_ids(enc, pieces, max_len) for view, enc in encoders.items()}), encoders
+
+
+def make_record(piece):
+    return make_plan([piece])[0][0]
 
 
 def shown(sample):
-    """The id and label of a training sample's piece, and the tokens and entities it shows: an edit's own, or its piece's."""
-    edited = isinstance(sample, Sample)
-    piece = (sample.record if edited else sample).piece
-    view = sample if edited else piece
-    return piece.id, piece.label, view.tokens, view.entities
+    """The id and label of a training sample's piece, and the tokens and entities it shows.
+
+    An unedited record shows its piece's. An edit shows its piece's tokens at
+    the kept positions, or with [MASK] at the masked ones, and the entities
+    `recompute_entities` counts on them.
+    """
+    if not isinstance(sample, Sample):
+        piece = sample.piece
+        return piece.id, piece.label, piece.tokens, piece.entities
+    piece = sample.record.piece
+    if sample.kept is not None:
+        tokens = tuple(piece.tokens[i] for i in sample.kept)
+    else:
+        tokens = tuple(MASK_TOKEN if i in sample.masked else t for i, t in enumerate(piece.tokens))
+    return piece.id, piece.label, tokens, recompute_entities(piece, tokens)
 
 
-def snapshot(sample, encoders, planned, max_len=MAX_SEQ_LEN):
-    """What a training sample shows the loop, as comparable values: `shown(sample)` and each branch's ids."""
-    ids = {name: sample_ids(enc, planned[name], sample, max_len).tolist() for name, enc in encoders.items()}
-    return *shown(sample), ids
+def snapshot(sample, encoders, max_len=MAX_SEQ_LEN):
+    """What a training sample shows the loop, as comparable values: `shown(sample)` and the ids each encoder reads."""
+    return *shown(sample), {view: sample.ids(enc, max_len).tolist() for view, enc in encoders.items()}
 
 
 @pytest.fixture

@@ -13,7 +13,6 @@ from endef.augmentation import (
     AUGMENT_KINDS,
     MASK_TOKEN,
     augment,
-    plan_records,
     recompute_entities,
 )
 from endef.corpus import contains_subsequence
@@ -54,16 +53,17 @@ def test_p_zero_is_identity(rng):
 def test_p_one_drop_guard_leaves_one_token(rng):
     piece = make_piece("a", ("t1", "t2", "t3", "t4", "t5"))
     out = augment(make_record(piece), only("word_level", "drop", 1.0), rng)
-    assert len(out.tokens) == 1
-    assert out.tokens[0] in piece.tokens
+    _, _, tokens, _ = shown(out)
+    assert len(out.kept) == 1 and len(tokens) == 1
+    assert tokens[0] in piece.tokens
     assert out.record.piece.label == piece.label and out.record.piece.id == piece.id
 
 
 def test_mask_preserves_length(rng):
     piece = make_piece("a", ("t1", "t2", "t3"), ("t2",))
     out = augment(make_record(piece), only("word_level", "mask", 1.0), rng)
-    assert len(out.tokens) == len(piece.tokens)
-    assert out.tokens == (MASK_TOKEN,) * 3
+    assert out.kept is None and out.masked == {0, 1, 2}
+    assert shown(out)[2] == (MASK_TOKEN,) * 3
 
 
 def test_package_root_re_exports_no_augment_that_needs_a_plan(rng):
@@ -73,15 +73,15 @@ def test_package_root_re_exports_no_augment_that_needs_a_plan(rng):
     with pytest.raises(ImportError):
         from endef import augment as _  # noqa: F401
     piece = make_piece("a", ("t1", "t2", "t3"), ("t2",))
-    out = endef.augmentation.augment(endef.augmentation.plan_records([piece])[0], only("word_level", "mask", 1.0), rng)
-    assert out.tokens == (MASK_TOKEN,) * 3
+    out = endef.augmentation.augment(make_record(piece), only("word_level", "mask", 1.0), rng)
+    assert shown(out)[2] == (MASK_TOKEN,) * 3
 
 
 def test_word_level_selection_fraction():
     rng = np.random.default_rng(7)
     settings = only("word_level", "mask", 0.1)
     total = masked = 0
-    records = plan_records(make_piece(f"p{i}", tuple(f"t{j}" for j in range(20))) for i in range(500))
+    records, _ = make_plan(make_piece(f"p{i}", tuple(f"t{j}" for j in range(20))) for i in range(500))
     for record in records:
         out = augment(record, settings, rng)
         total += 20
@@ -90,18 +90,27 @@ def test_word_level_selection_fraction():
     assert abs(masked / total - 0.1) <= 0.01
 
 
+def entity_reader_ids(out, encoders):
+    """The ids an entity reader gets from a training sample, as a list."""
+    return out.ids(encoders["entities"], MAX_SEQ_LEN).tolist()
+
+
 def test_entity_level_hits_whole_span(rng):
     piece = make_piece("a", ("New", "York", "is", "big"), ("New York",))
-    out = augment(make_record(piece), only("entity_level", "mask", 1.0), rng)
-    assert out.tokens == (MASK_TOKEN, MASK_TOKEN, "is", "big")
-    assert out.entities == ()  # masked span no longer matches
+    (record,), encoders = make_plan([piece])
+    out = augment(record, only("entity_level", "mask", 1.0), rng)
+    assert shown(out)[2:] == ((MASK_TOKEN, MASK_TOKEN, "is", "big"), ())  # masked span no longer matches
+    assert entity_reader_ids(out, encoders) == [encoders["entities"].vocab.pad_id]
+    assert entity_reader_ids(record, encoders) == encoders["entities"].vocab.encode_entities(piece.entities).tolist()
 
 
 def test_entity_level_drop_removes_span_and_recomputes(rng):
     piece = make_piece("a", ("New", "York", "is", "big", "New", "York"), ("New York", "New York"))
-    out = augment(make_record(piece), only("entity_level", "drop", 1.0), rng)
-    assert out.tokens == ("is", "big")
-    assert out.entities == ()
+    (record,), encoders = make_plan([piece])
+    out = augment(record, only("entity_level", "drop", 1.0), rng)
+    assert shown(out)[2:] == (("is", "big"), ())
+    assert out.kept == [2, 3]
+    assert entity_reader_ids(out, encoders) == [encoders["entities"].vocab.pad_id]
 
 
 def test_label_and_id_never_change():
@@ -118,8 +127,11 @@ def test_label_and_id_never_change():
 
 def test_external_entities_survive_editing(rng):
     piece = make_piece("a", ("x", "y"), ("external one",), 0, 0)
-    out = augment(make_record(piece), only("word_level", "drop", 1.0), rng)
-    assert "external one" in out.entities
+    (record,), encoders = make_plan([piece])
+    out = augment(record, only("word_level", "drop", 1.0), rng)
+    assert "external one" in shown(out)[3]
+    # the entity list did not change, so an entity reader gets the planned ids themselves
+    assert out.ids(encoders["entities"], MAX_SEQ_LEN) is record.ids(encoders["entities"], MAX_SEQ_LEN)
 
 
 def test_entity_spans_longest_leftmost():
@@ -157,23 +169,24 @@ KIND_ACTION_PIECE = make_piece("a", ("New", "York", "is", "big"), ("New York",))
 
 
 def drawn_kind_action(out):
-    if out.tokens == (MASK_TOKEN,) * 4:
+    tokens = shown(out)[2]
+    if tokens == (MASK_TOKEN,) * 4:
         return "word_level", "mask"
-    if len(out.tokens) == 1:
+    if len(tokens) == 1:
         return "word_level", "drop"
-    if out.tokens == (MASK_TOKEN, MASK_TOKEN, "is", "big"):
+    if tokens == (MASK_TOKEN, MASK_TOKEN, "is", "big"):
         return "entity_level", "mask"
-    assert out.tokens == ("is", "big")
+    assert tokens == ("is", "big")
     return "entity_level", "drop"
 
 
 def test_kind_action_draw_deterministic_and_uniform():
     settings = AugmentSettings(probability=1.0)
-    (record,), encoders, (planned,) = make_plan([KIND_ACTION_PIECE])
+    (record,), encoders = make_plan([KIND_ACTION_PIECE])
     rng1 = np.random.default_rng(42)
     rng2 = np.random.default_rng(42)
-    seq1 = [snapshot(augment(record, settings, rng1), encoders, planned) for _ in range(20)]
-    seq2 = [snapshot(augment(record, settings, rng2), encoders, planned) for _ in range(20)]
+    seq1 = [snapshot(augment(record, settings, rng1), encoders) for _ in range(20)]
+    seq2 = [snapshot(augment(record, settings, rng2), encoders) for _ in range(20)]
     assert seq1 == seq2
 
     rng = np.random.default_rng(11)
@@ -299,17 +312,17 @@ def test_augment_matches_reference_stream():
         pieces = [random_piece(data_rng, i) for i in range(30)]
         form_rng = np.random.default_rng(2000 + seed)
         pieces += [MASK_FORM_PIECE] + [mask_form_piece(form_rng, i) for i in range(1, 10)]
-        records, encoders, planned = make_plan(pieces)
+        records, encoders = make_plan(pieces)
         for settings in REFERENCE_SETTINGS:
             rng = np.random.default_rng(seed)
             ref_rng = np.random.default_rng(seed)
-            for piece, record, ids in zip(pieces, records, planned):
+            for piece, record in zip(pieces, records):
                 out = augment(record, settings, rng)
                 expect = reference_augment(piece, settings, ref_rng, seen)
                 assert (out is record) == (expect is piece)
                 assert (out if out is record else out.record) is record and record.piece is piece
                 expect_ids = {name: input_ids(enc, expect, MAX_SEQ_LEN).tolist() for name, enc in encoders.items()}
-                assert snapshot(out, encoders, ids) == (expect.id, expect.label, expect.tokens, expect.entities, expect_ids)
+                assert snapshot(out, encoders) == (expect.id, expect.label, expect.tokens, expect.entities, expect_ids)
                 assert rng.bit_generator.state == ref_rng.bit_generator.state
     kinds_actions = {(k, a) for k in AUGMENT_KINDS for a in AUGMENT_ACTIONS}
     assert kinds_actions | {"fallback"} <= seen

@@ -5,11 +5,12 @@ from dataclasses import replace
 
 import pytest
 
-from endef.cli import main
+from endef.cli import _TRAIN_OVERRIDES, build_parser, main
 from endef.corpus import Corpus, entity_bias_table, export_bias_table, load_corpus, save_corpus
 from endef.framework import case_report, load_checkpoint, make_endef_model, save_checkpoint
 from endef.models import BAG_OF_EMBEDDINGS, CONV_NGRAM, EncoderSpec, ModelError
 from endef.synthetic import BiasSpec, generate
+from endef.training import TrainConfig
 from endef.vocab import SPECIAL_TOKENS, Vocabulary
 
 from conftest import make_piece
@@ -165,6 +166,40 @@ def test_evaluate_perfect_predictions_gives_all_ones(tmp_path, capsys):
     assert table[0].split() == ["macF1", "Acc", "AUC", "spAUC", "F1_real", "F1_fake"]
 
 
+@pytest.mark.parametrize(
+    "field, value, problem",
+    [
+        ("label", 0.7, "field 'label' must be the integer 0 or 1, got 0.7"),
+        ("label", 1.0, "field 'label' must be the integer 0 or 1, got 1.0"),
+        ("label", True, "field 'label' must be the integer 0 or 1, got True"),
+        ("label", "0", "field 'label' must be the integer 0 or 1, got '0'"),
+        ("label", 2, "field 'label' must be the integer 0 or 1, got 2"),
+        ("score", "0.8", "field 'score' must be a number, got '0.8'"),
+        ("score", True, "field 'score' must be a number, got True"),
+        ("score", None, "field 'score' must be a number, got None"),
+    ],
+)
+def test_evaluate_refuses_a_prediction_label_or_score_of_the_wrong_type(tmp_path, capsys, field, value, problem):
+    pred_path = tmp_path / "preds.jsonl"
+    rows = [{"score": 0.9, "label": 1}, {"score": 0.1, "label": 0}, {"score": 0.8, "label": 1}]
+    rows[2][field] = value  # line 3
+    pred_path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    out = tmp_path / "eval"
+    assert run_cli("evaluate", "--predictions", pred_path, "--out-dir", out) == 1
+    assert capsys.readouterr().err == f"error: {pred_path}: line 3: {problem}\n"
+    assert not out.exists()
+
+
+def test_evaluate_refuses_a_prediction_record_without_a_field(tmp_path, capsys):
+    pred_path = tmp_path / "preds.jsonl"
+    pred_path.write_text('{"score": 0.9, "label": 1}\n{"score": 0.1}\n', encoding="utf-8")
+    assert run_cli("evaluate", "--predictions", pred_path, "--out-dir", tmp_path / "eval") == 1
+    assert f"{pred_path}: line 2: prediction record is missing field 'label'" in capsys.readouterr().err
+    pred_path.write_text('{"score": 0.9, "label": 1}\n[0.2, 0]\n', encoding="utf-8")
+    assert run_cli("evaluate", "--predictions", pred_path, "--out-dir", tmp_path / "eval") == 1
+    assert f"{pred_path}: line 2: prediction record must be a JSON object, got list" in capsys.readouterr().err
+
+
 def test_evaluate_requires_inputs(tmp_path, capsys):
     assert run_cli("evaluate", "--out-dir", tmp_path / "x") == 1
     capsys.readouterr()
@@ -284,6 +319,24 @@ def test_train_rejects_out_of_range_hyperparameter_flags_before_any_output(
     assert code == 1
     assert err.startswith("error: ") and message in err
     assert not run_dir.exists()
+
+
+def test_training_flags_are_typed_as_the_config_fields_they_override(capsys):
+    values = {"lr": "0.25", "batch_size": "3", "max_epochs": "4", "patience": "2", "seed": "5", "alpha": "0.5",
+              "beta": "0.1", "max_len": "6"}
+    common = ("--train", "t.jsonl", "--val", "v.jsonl", "--out-dir", "o")
+    for command, keys in (("train", _TRAIN_OVERRIDES), ("grid-alpha", _TRAIN_OVERRIDES[:5] + ("beta",))):
+        flags = [str(a) for key in keys for a in (f"--{key.replace('_', '-')}", values[key])]
+        args = build_parser().parse_args([command, *common, *flags])
+        for key in keys:
+            expected = type(getattr(TrainConfig(), key))(values[key])
+            assert getattr(args, key) == expected and type(getattr(args, key)) is type(expected), (command, key)
+    # grid-alpha searches alpha itself, and it offers no --max-len flag
+    for flag in ("--alpha", "--max-len"):
+        assert run_cli("grid-alpha", *common, flag, "1") == 2
+    # an integer field refuses a fractional value
+    assert run_cli("train", *common, "--batch-size", "2.5") == 2
+    capsys.readouterr()
 
 
 def test_augment_flags_match_the_config_fields_they_set(shared_split_dir, tmp_path, capsys):

@@ -13,6 +13,7 @@ from endef.corpus import (
     contains_subsequence,
     entity_bias_table,
     export_bias_table,
+    is_label,
     load_corpus,
     save_corpus,
     temporal_split,
@@ -54,6 +55,24 @@ def test_load_bad_label_cites_line_number(tmp_path):
     write_jsonl(path, records)
     with pytest.raises(CorpusError, match="line 7"):
         load_corpus(path)
+
+
+@pytest.mark.parametrize("label", [1.0, 0.0, True, False, "1", None, 2, -1])
+def test_load_refuses_a_label_that_is_not_the_integer_0_or_1(tmp_path, label):
+    path = tmp_path / "c.jsonl"
+    records = [record(i) for i in range(3)]
+    records[1]["label"] = label  # line 2
+    write_jsonl(path, records)
+    with pytest.raises(CorpusError, match=rf"c\.jsonl: line 2: piece 'p1': label must be the integer 0 or 1, got {label!r}$"):
+        load_corpus(path)
+
+
+def test_label_rule():
+    assert is_label(0) and is_label(1)
+    for value in (1.0, 0.0, True, False, "0", None, 2, -1, 0.7):
+        assert not is_label(value)
+        with pytest.raises(CorpusError, match="label must be the integer 0 or 1"):
+            make_piece("a", ("x",), label=value)
 
 
 def test_load_non_string_list_item_cites_line_number(tmp_path):

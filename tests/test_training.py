@@ -19,6 +19,7 @@ from endef.framework import branches, input_ids, make_endef_model, score
 from endef.metrics import PredictionSet, f1_scores
 from endef.models import BAG_OF_EMBEDDINGS, CONV_NGRAM, AdamState, EncoderSpec, ScalarModel, adam_step
 from endef.payload import from_fields
+from endef.recognizer import Gazetteer
 from endef.synthetic import BiasSpec, generate
 from endef.training import (
     AugmentSettings,
@@ -33,7 +34,7 @@ from endef.training import (
 )
 from endef.vocab import MASK_TOKEN, Vocabulary, build_vocabulary
 
-from conftest import make_piece, piece_loss, unbiased_spec
+from conftest import make_piece, make_plan, piece_loss, unbiased_spec
 from test_augmentation import REFERENCE_SETTINGS, reference_augment
 
 
@@ -178,10 +179,38 @@ def test_augment_disabled_consumes_no_randomness():
     settings = AugmentSettings(enabled=False, probability=1.0)
     rng = np.random.default_rng(4)
     state = rng.bit_generator.state
-    records = aug.plan_records(split.train)
+    records, _ = make_plan(split.train)
     for record in records:
         assert aug.augment(record, settings, rng) is record
     assert rng.bit_generator.state == state
+
+
+def test_only_an_entity_reader_rescans_an_edit(monkeypatch):
+    """A baseline run scans each uncut training piece once, while planning; a fused run also rescans each edit once."""
+    split, vocab, det_spec, ent_spec, cfg = tiny_setup()
+    cfg = replace(cfg, augment=AugmentSettings(probability=0.5, kinds=("entity_level",)))
+    assert all(len(p.tokens) <= cfg.max_len for p in split.train)
+    counts = {"spans": 0, "edits": 0}
+    real_spans, real_augment = Gazetteer.spans, aug.augment
+
+    def counting_spans(self, words, bounds=None):
+        counts["spans"] += 1
+        return real_spans(self, words, bounds)
+
+    def counting_augment(record, settings, rng):
+        out = real_augment(record, settings, rng)
+        counts["edits"] += out is not record
+        return out
+
+    monkeypatch.setattr(Gazetteer, "spans", counting_spans)
+    monkeypatch.setattr(aug, "augment", counting_augment)
+    train(ScalarModel(det_spec, vocab, seed=0), split, cfg)
+    assert counts["edits"] > 0
+    assert counts["spans"] == len(split.train)
+    counts.update(spans=0, edits=0)
+    train(make_endef_model(det_spec, ent_spec, vocab, seed=0), split, cfg)
+    assert counts["edits"] > 0
+    assert counts["spans"] == len(split.train) + counts["edits"]
 
 
 def reference_train(model, split, cfg):
