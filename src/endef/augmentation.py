@@ -1,14 +1,17 @@
-"""Token-level training augmentation: random drop/mask of words or entity spans.
+"""Token-level training augmentation: random drop/mask of words or entity spans, a batch at a time.
 
-Training augments records, not pieces: `plan_records` scans each truncated
-training piece once per run and keeps the ids each view reads from it, and
-`augment` edits a record with the same random draws as an edit of the piece,
-keeping only where the edit fell. A record or an edit gives each encoder its
-`ids`; only an entity reader of an edit rebuilds the edited tokens and
-rescans them. Every scan is `recognizer.Gazetteer.spans` over a gazetteer of
-the piece's in-text entities, so a recount names the spelling recognition
-would. A piece's id, label, tokens and entities are read from `record.piece`.
+A `Plan` scans each truncated training piece once per run and keeps, as
+run-level arrays, the ids every view reads from it and its entity spans.
+`augment` edits a batch of the plan's pieces with the draws the per-sample
+rule below makes from `np.random.default_rng`, replayed by `replay.Draws`,
+and returns the ids each view reads from each sample. Every scan is
+`recognizer.Gazetteer.spans` over a gazetteer of the piece's in-text entities,
+so a recount names the spelling recognition would.
 """
+
+from itertools import product
+
+import numpy as np
 
 from .recognizer import Gazetteer
 from .vocab import MASK_TOKEN
@@ -38,100 +41,188 @@ def recompute_entities(piece, new_tokens):
     return tuple(e for _, _, e in scanner.spans(tuple(new_tokens))) + external
 
 
-def plan_records(pieces, planned):
-    """One `PieceRecord` per training piece, sharing gazetteers; `planned` holds the ids each view reads from each piece."""
-    scanners = {}
-    return [PieceRecord(p, scanners, {view: ids[k] for view, ids in planned.items()}) for k, p in enumerate(pieces)]
+def _views(flat, bounds):
+    return [flat[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
 
-class PieceRecord:
-    """A training piece scanned once: its in-text gazetteer, external entities, entity spans and the ids each view reads."""
-
-    __slots__ = ("piece", "scanner", "external", "spans", "planned")
-
-    def __init__(self, piece, scanners, planned):
-        self.piece = piece
-        self.scanner, self.external = _partition(piece, scanners)
-        self.spans = tuple((a, b) for a, b, _ in self.scanner.spans(piece.tokens))
-        self.planned = planned
-
-    def ids(self, encoder, max_len):
-        """The ids an encoder reads from the unedited piece: those planned for its view."""
-        return self.planned[encoder.reads]
+def _runs(starts, lengths):
+    """The positions start, ..., start + length - 1 of every run, flat and in order."""
+    ends = np.cumsum(lengths)
+    return np.repeat(starts - ends + lengths, lengths) + np.arange(ends[-1] if len(ends) else 0)
 
 
-class Sample:
-    """An edited training record: the record and where the edit fell.
+class Plan:
+    """The truncated training pieces of one run, scanned once, as the run-level arrays `augment` reads.
 
-    `masked` holds the positions a mask replaced (empty for a drop) and
-    `kept` the positions a drop kept (None for a mask), both counted on
-    the tokens of `record.piece`. The id and label stay on `record.piece`.
+    `planned` maps each view an encoder reads (`tokens` or `entities`) to
+    (vocabulary, flat ids, bounds), the ids of piece r being
+    flat[bounds[r]:bounds[r + 1]] (`framework.planned_ids`). Training pieces
+    are cut to max_len before they are planned, so token ids line up with
+    tokens. Token positions are counted over all pieces end to end. A
+    selection unit is a token (word level) or an entity span (entity level),
+    word-level units first; `units[word_level][i]` is the first unit of piece i.
     """
 
-    __slots__ = ("record", "masked", "kept")
+    def __init__(self, pieces, planned, max_len):
+        self.pieces = pieces
+        self.max_len = max_len
+        self.vocabs = {view: vocab for view, (vocab, _, _) in planned.items()}
+        self.flat = {view: flat for view, (_, flat, _) in planned.items()}
+        self.views = {view: _views(flat, bounds) for view, (_, flat, bounds) in planned.items()}
+        self.ntok = [len(p.tokens) for p in pieces]
+        self.first = np.concatenate(([0], np.cumsum(self.ntok, dtype=np.intp)))
+        scanners = {}
+        self.scanners, self.externals, self.nspan, spans, names, rescans = [], [], [], [], [], []
+        for piece, first in zip(pieces, self.first.tolist()):
+            scanner, external = _partition(piece, scanners)
+            found = scanner.spans(piece.tokens)
+            self.scanners.append(scanner)
+            self.externals.append(external)
+            self.nspan.append(len(found))
+            spans += [(first + a, b - a) for a, b, _ in found]
+            names.append(tuple(e for _, _, e in found) + external)
+            rescans.append((any(MASK_TOKEN in e.split() for e in scanner.entries), scanner.max_tokens > 1))
+        n_tokens = int(self.first[-1])
+        self.widest = max(self.ntok, default=0)
+        start, length = np.array(spans, dtype=np.intp).reshape(-1, 2).T
+        self.in_span = np.zeros(n_tokens, dtype=bool)
+        self.in_span[_runs(start, length)] = True
+        # every unit as (first token position, tokens): one per token, then one per span
+        self.unit_start = np.concatenate((np.arange(n_tokens), start)).astype(np.int32)
+        self.unit_length = np.concatenate((np.ones(n_tokens, dtype=np.intp), length)).astype(np.int32)
+        self.units = ((n_tokens + np.cumsum(self.nspan, dtype=np.intp) - self.nspan).tolist(), self.first[:-1].tolist())
+        # an edit that misses every span leaves a recount unchanged unless masking can complete an entity
+        # with [MASK] in its words, or dropping can join the words of a multi-word entity
+        self.rescans = np.array(rescans, dtype=bool).reshape(-1, 2)
+        spanned = np.bincount(np.repeat(np.arange(len(pieces)), self.nspan), length, len(pieces))
+        self.covered = (spanned == self.ntok).tolist()  # the spans cover every token
+        if "entities" in planned:
+            # what an entity reader gets from such an edit: its planning scan, not the piece's own entity order
+            encode, views = self.vocabs["entities"].encode_entities, self.views["entities"]
+            self.unscanned = [
+                ids if found == piece.entities else encode(found, max_len)
+                for piece, found, ids in zip(pieces, names, views)
+            ]
 
-    def __init__(self, record, masked, kept):
-        self.record = record
-        self.masked = masked
-        self.kept = kept
 
-    def ids(self, encoder, max_len):
-        """The ids an encoder reads from the edit, derived from those planned for its record.
+def augment(plan, batch, settings, draws):
+    """The ids each view of `plan` reads from each sample of a batch of its pieces, augmented under `settings`.
 
-        A token reader's ids are the planned ones with [MASK]'s id written at
-        the masked positions, or only the kept ones left: training pieces are
-        cut to max_len before they are planned, so their token ids line up
-        with their tokens. Only an entity reader rebuilds the edited tokens; it
-        rescans them and re-encodes the recount only when it changed.
-        """
-        record = self.record
-        planned = record.planned[encoder.reads]
-        if encoder.reads == "tokens":
-            if self.kept is not None:
-                return planned[self.kept]
-            ids = planned.copy()
-            ids[list(self.masked)] = encoder.vocab.mask_id
-            return ids
-        tokens = record.piece.tokens
-        positions = range(len(tokens)) if self.kept is None else self.kept
-        edited = tuple(MASK_TOKEN if i in self.masked else tokens[i] for i in positions)
-        entities = tuple(e for _, _, e in record.scanner.spans(edited)) + record.external
-        if entities == record.piece.entities:
-            return planned
-        return encoder.vocab.encode_entities(entities, max_len)
+    `batch` holds piece indices; returns {view: [ids of each sample]}. Each
+    sample is augmented by the per-sample rule below, drawing from the
+    `Generator` stream that `draws` replays. Nothing is drawn when
+    augmentation is disabled. Otherwise the sample is skipped with chance
+    1 - apply_probability (one `random()`, made only when that chance is
+    positive), then one kind and one action are picked uniformly from the
+    allowed ones (one `integers(k)` each). Word-level selects each token
+    independently with the settings' probability; entity-level selects whole
+    recognized spans (one `random(n)`: a draw per token or span). A sample
+    whose selection is empty is unedited. When dropping would empty the
+    sequence, one token chosen uniformly (`integers(len(tokens))`) is kept.
 
-
-def augment(record, settings, rng):
-    """Augment one training record under validated `training.AugmentSettings`.
-
-    Nothing is drawn when augmentation is disabled. Otherwise the sample is
-    skipped with chance 1 - apply_probability (one draw, made only when that
-    chance is positive), then one kind and one action are picked uniformly
-    from the allowed ones. Word-level selects each token independently with
-    the settings' probability; entity-level selects whole recognized spans
-    (one draw per occurrence). When dropping would empty the sequence, one
-    unmodified token chosen uniformly is retained instead. An unedited
-    record comes back as itself; an edited one as a `Sample` of the record
-    and the positions the edit masked or kept, without its tokens or
-    entities; neither changes the piece, so its label and id are those of
-    `record.piece`.
+    One Python step per sample reads its gate, kind and action draws and steps
+    over its selection draws by arithmetic; NumPy then draws and applies the
+    selections of the whole batch. The keep draw of a drop that empties a
+    sample depends on its selection draws, so the walk rewinds to just after
+    them, draws it with a scalar call and walks on from the next sample.
     """
+    batch = batch.tolist()
     if not settings.enabled:
-        return record
-    if settings.apply_probability < 1.0 and rng.random() >= settings.apply_probability:
-        return record
-    kind = settings.kinds[int(rng.integers(len(settings.kinds)))]
-    action = settings.actions[int(rng.integers(len(settings.actions)))]
-    p = settings.probability
-    tokens = record.piece.tokens
-    if kind == "word_level":
-        draws = rng.random(len(tokens)).tolist()
-        selected = {i for i, u in enumerate(draws) if u < p}
-    else:
-        draws = rng.random(len(record.spans)).tolist()
-        selected = {i for (a, b), u in zip(record.spans, draws) if u < p for i in range(a, b)}
-    if not selected:
-        return record
-    if action == "mask":
-        return Sample(record, selected, None)
-    return Sample(record, (), [i for i in range(len(tokens)) if i not in selected] or [int(rng.integers(len(tokens)))])
+        return {view: [views[i] for i in batch] for view, views in plan.views.items()}
+    # integers(2) is a half-word's top bit and integers(1) draws nothing: the drawn bits index the choices
+    halves = len(settings.kinds) + len(settings.actions) - 2
+    choices = list(product([kind == "word_level" for kind in settings.kinds], [a == "drop" for a in settings.actions]))
+    # random() < p is the word's top 53 bits < p * 2**53, exactly: random() scales them by 2**-53
+    gate = settings.apply_probability < 1.0
+    applied, threshold = settings.apply_probability * 2.0**53, settings.probability * 2.0**53
+    ntok, nspan, units, covered = plan.ntok, plan.nspan, plan.units, plan.covered
+    # per selecting sample: (slot in the batch, drops, first unit, units, first selection word, buffered half, whether
+    # its drop could empty it and draw a kept token); per slot, the kept token of an emptied drop that drew one
+    walked, chosen, keeps = [], [], {}
+    start = 0
+    while start < len(batch):
+        words, half = draws.window((len(batch) - start) * (plan.widest + 2))
+        chunk, pos = [], 0
+        for k in range(start, len(batch)):
+            i = batch[k]
+            if gate:
+                pos += 1
+                if words.item(pos - 1) >> 11 >= applied:
+                    continue
+            bits = 0
+            for _ in range(halves):
+                if half is None:
+                    raw = words.item(pos)
+                    pos += 1
+                    bits, half = bits << 1 | (raw >> 31) & 1, raw >> 32
+                else:
+                    bits, half = bits << 1 | half >> 31, None
+            word_level, drop = choices[bits]
+            n = ntok[i] if word_level else nspan[i]
+            emptiable = drop and ntok[i] > 1 and (word_level or covered[i])
+            chunk.append((k, drop, units[word_level][i], n, pos, half, emptiable))
+            pos += n
+        start = len(batch)
+        n = np.array([c[3] for c in chunk], dtype=np.intp)
+        selected = (words[_runs(np.array([c[4] for c in chunk], dtype=np.intp), n)] >> 11) < threshold
+        if any(c[6] for c in chunk):
+            ends = np.cumsum(n)
+            picked = np.concatenate(([0], np.cumsum(selected)))
+            (empties,) = np.nonzero((picked[ends] - picked[ends - n] == n) & [c[6] for c in chunk])
+            if len(empties):  # rewind to just after the selection draws of the first such drop
+                chunk, selected = chunk[: empties[0] + 1], selected[: ends[empties[0]]]
+                start, _, _, n, pos, half, _ = chunk[-1]
+                pos += n
+        draws.seek(pos, half)
+        if start < len(batch):
+            keeps[start] = draws.integers(0, ntok[batch[start]])
+            start += 1
+        walked += chunk
+        chosen.append(selected)
+    return _edited_ids(plan, batch, walked, np.concatenate(chosen), keeps)
+
+
+def _edited_ids(plan, batch, walked, selected, keeps):
+    """The ids each view reads from a batch of samples, given each selecting sample's units and selections.
+
+    A token reader's ids are one gather of the planned ids, [MASK]'s id written
+    at masked positions and dropped positions left out. An entity reader gets
+    the planned ids of an unedited sample. It rescans the edited tokens only
+    when the edit touches a span, or could complete or join an entity
+    (`Plan.rescans`); otherwise the recount is that of the planning scan.
+    """
+    slots, drops, firsts, counts = (np.array(c, dtype=np.intp) for c in (list(zip(*walked))[:4] or ((),) * 4))
+    idx = np.array(batch, dtype=np.intp)
+    sizes = plan.first[idx + 1] - plan.first[idx]
+    first = np.cumsum(sizes) - sizes  # the batch's tokens, sample after sample
+    unit = _runs(firsts, counts)[selected]
+    length = plan.unit_length[unit]
+    edit = np.zeros(plan.first[-1], dtype=np.int8)  # per token: 0 kept, 1 masked, 2 dropped
+    edit[_runs(plan.unit_start[unit], length)] = np.repeat(np.repeat(1 + drops, counts)[selected], length)
+    at = _runs(plan.first[idx], sizes)
+    edit = edit[at]
+    picked = np.add.reduceat(edit > 0, first)
+    drop = np.zeros(len(batch), dtype=bool)
+    drop[slots] = drops
+    for k in np.flatnonzero(drop & (picked == sizes)).tolist():  # a drop that selected every token keeps one
+        edit[first[k] + keeps.get(k, 0)] = 0
+    out = {}
+    if "tokens" in plan.flat:
+        ids = plan.flat["tokens"][at]
+        ids[edit == 1] = plan.vocabs["tokens"].mask_id
+        kept = edit < 2
+        out["tokens"] = _views(ids[kept], [0, *np.cumsum(np.add.reduceat(kept, first)).tolist()])
+    if "entities" in plan.flat:
+        planned, unscanned, encode = plan.views["entities"], plan.unscanned, plan.vocabs["entities"].encode_entities
+        touched = np.add.reduceat((edit > 0) & plan.in_span[at], first) > 0
+        rescan = np.flatnonzero(touched | (picked > 0) & plan.rescans[idx, drop.view(np.int8)]).tolist()
+        ids = [unscanned[i] if n else planned[i] for i, n in zip(batch, picked.tolist())]
+        bounds, edit = np.append(first, len(at)).tolist(), edit.tolist()
+        for k in rescan:
+            i, piece = batch[k], plan.pieces[batch[k]]
+            edited = zip(piece.tokens, edit[bounds[k] : bounds[k + 1]])
+            tokens = tuple(MASK_TOKEN if e == 1 else t for t, e in edited if e < 2)
+            entities = tuple(e for _, _, e in plan.scanners[i].spans(tokens)) + plan.externals[i]
+            ids[k] = planned[i] if entities == piece.entities else encode(entities, plan.max_len)
+        out["entities"] = ids
+    return out

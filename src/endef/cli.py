@@ -189,7 +189,8 @@ def cmd_train(args):
 
 
 def _load_predictions(path):
-    """The scores and labels of a JSONL file of {score, label} records: a score is a JSON number, a label `is_label`."""
+    """The scores and labels of a JSONL file of {score, label} records: a score is a JSON number in [0, 1], a label
+    `is_label`, and both labels occur."""
     scores, labels = [], []
     with Path(path).open(encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -202,9 +203,13 @@ def _load_predictions(path):
                 raise ValueError(f"{where}: bad prediction record: {exc}") from None
             score, label = require(row, ("score", "label"), f"{where}: prediction record", ValueError)
             scores.append(float(check_type(score, float, f"{where}: field 'score'", ValueError)))
+            if not 0.0 <= scores[-1] <= 1.0:  # NaN and the infinities fail too
+                raise ValueError(f"{where}: field 'score' must be a finite number within [0, 1], got {score!r}")
             if not is_label(label):
                 raise ValueError(f"{where}: field 'label' must be the integer 0 or 1, got {label!r}")
             labels.append(label)
+    if len(set(labels)) < 2:
+        raise ValueError(f"{path}: " + ("holds no prediction record" if not labels else f"every label is {labels[0]}"))
     return PredictionSet(np.array(scores), np.array(labels))
 
 

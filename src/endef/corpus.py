@@ -23,12 +23,20 @@ def tokenize(text, lowercase=False):
 
 
 def contains_subsequence(tokens, sub):
-    """True if `sub` occurs as a contiguous run inside `tokens`."""
-    sub = tuple(sub)
+    """True if `sub` occurs as a contiguous run inside `tokens`; only positions holding its first word are compared."""
+    sub, tokens = tuple(sub), tuple(tokens)
     m = len(sub)
     if m == 0 or m > len(tokens):
         return False
-    return any(tuple(tokens[i : i + m]) == sub for i in range(len(tokens) - m + 1))
+    at = 0
+    try:
+        while True:
+            at = tokens.index(sub[0], at, len(tokens) - m + 1)
+            if tokens[at : at + m] == sub:
+                return True
+            at += 1
+    except ValueError:  # no further position holds the first word
+        return False
 
 
 def is_label(value):

@@ -18,13 +18,13 @@ draws land on few entities, so recipes with at least ~8 entities track
 their targets closely.
 
 Every draw is replayed from the raw PCG64 words of
-`np.random.default_rng(spec.seed)`, read in chunks: the values equal what
-that `Generator`'s `random` and `integers` return, call for call (the tests
-check this against the installed numpy), without a `Generator` call per token.
-A piece's label, entities, content length and insert positions are drawn one
-call at a time; its content pairs, one `random()` and one `integers` per token,
-are drawn a block of pieces at a time in one NumPy pass. A rejected integer
-draw in that pass sends its piece back to the one-call-at-a-time loop.
+`np.random.default_rng(spec.seed)` by `replay.Draws`: the values equal what
+that `Generator`'s `random` and `integers` return, call for call, without a
+`Generator` call per token. A piece's label, entities, content length and
+insert positions are drawn one call at a time; its content pairs, one
+`random()` and one `integers` per token, are drawn a block of pieces at a time
+in one NumPy pass. A rejected integer draw in that pass sends its piece back
+to the one-call-at-a-time loop.
 """
 
 import json
@@ -36,6 +36,7 @@ import numpy as np
 
 from .corpus import Corpus, NewsPiece, entity_bias_table
 from .payload import check_type, from_fields
+from .replay import Draws
 
 
 class SyntheticSpecError(ValueError):
@@ -119,147 +120,6 @@ def entity_cdf(weights):
     return (cdf / cdf[-1]).tolist()
 
 
-_RAW_CHUNK = 4096  # raw PCG64 words read per window refill
-_BLOCK = 32  # pieces whose content pairs one NumPy pass draws; larger blocks raised peak RSS, not speed
-_HALF_MASK = 0xFFFFFFFF
-_HALF_RANGE = 1 << 32
-_DOUBLE_UNIT = 2.0**-53
-
-
-class _Draws:
-    """`np.random.default_rng(seed).random()` and `.integers(lo, hi)`, replayed from the raw PCG64 words.
-
-    `random()` is the top 53 bits of one word. `integers` is numpy's 32-bit Lemire
-    draw with its rejection loop, fed by PCG64's buffered half-words: a fresh word
-    serves its low half and keeps its high half for the next integer draw, which
-    `random()` never touches. A range of 1 draws nothing.
-
-    The words sit in a window, a NumPy array and a read position, that `blocks`
-    trims after each block of pieces. `blocks` draws the content pairs of a whole
-    block in one NumPy pass over that window; a piece whose pass meets a
-    rejection is drawn again by the scalar calls.
-    """
-
-    __slots__ = ("_bits", "_words", "_pos", "_half")
-
-    def __init__(self, seed):
-        self._bits = np.random.default_rng(seed).bit_generator
-        self._words = np.empty(0, dtype=np.uint64)
-        self._pos = 0
-        self._half = None
-
-    def _fill(self, end):
-        """Make the window hold at least `end` words."""
-        if end > len(self._words):
-            fresh = self._bits.random_raw(max(_RAW_CHUNK, end - len(self._words)))
-            self._words = np.concatenate((self._words, fresh))
-
-    def _word(self):
-        pos = self._pos
-        if pos >= len(self._words):
-            self._fill(pos + 1)
-        self._pos = pos + 1
-        return self._words.item(pos)
-
-    def random(self):
-        return (self._word() >> 11) * _DOUBLE_UNIT
-
-    def integers(self, lo, hi):
-        n = hi - lo
-        if n == 1:
-            return lo
-        if not 1 < n <= _HALF_RANGE:
-            raise ValueError(f"integers range [{lo}, {hi}) must hold 1 to 2**32 values, not {n}")
-        threshold = _HALF_RANGE % n  # Lemire: a low product half below 2**32 mod n is rejected
-        while True:
-            half = self._half
-            if half is None:
-                word = self._word()
-                self._half = word >> 32
-                half = word & _HALF_MASK
-            else:
-                self._half = None
-            m = half * n
-            if (m & _HALF_MASK) >= threshold:
-                return lo + (m >> 32)
-
-    def _pairs(self, marks, counts, chance, sizes):
-        """The content pairs of runs of `counts` pairs entered at `marks` (position, buffered half), in one pass.
-
-        Returns (signal flags, indices, runs): the pairs of the leading runs that draw no rejection.
-        """
-        counts = np.array(counts, dtype=np.intp)
-        ends = counts.cumsum()
-        start = np.repeat(np.array([pos for pos, _ in marks], dtype=np.intp), counts)
-        buffered = np.repeat(np.array([half is not None for _, half in marks], dtype=np.intp), counts)
-        held = np.repeat(np.array([half or 0 for _, half in marks], dtype=np.uint64), counts)
-        i = np.arange(len(start)) - np.repeat(ends - counts, counts)  # each pair's place in its run
-        words = self._words
-        signal = (words[start + i + (i + 1 - buffered) // 2] >> 11) * _DOUBLE_UNIT < chance
-        slot = i - buffered  # the pair's half among its run's fresh half-words; -1 is the buffered half
-        word = words[start + buffered + 3 * (np.maximum(slot, 0) // 2) + 1]
-        half = np.where(slot < 0, held, np.where(slot % 2 == 1, word >> 32, word & _HALF_MASK))
-        n = sizes[signal.view(np.uint8)]  # sizes[s] per pair
-        m = half * n
-        rejected = np.flatnonzero((m & _HALF_MASK) < _HALF_RANGE % n)
-        runs = int(np.searchsorted(ends, rejected[0], side="right")) if len(rejected) else len(marks)
-        cut = int(ends[runs] - counts[runs]) if runs < len(marks) else len(start)
-        return signal[:cut], (m[:cut] >> 32).astype(np.intp), runs
-
-    def blocks(self, count, walk, chance, sizes):
-        """Walk `count` pieces in order, drawing their content pairs a block of pieces at a time.
-
-        `walk(i, content)` makes piece i's draws and calls `content(n)` once, where its n content pairs fall in
-        the stream; it never reads them. A content pair is `(s, integers(0, sizes[s]))` with
-        `s = random() < chance`, and both sizes lie in (1, 2**32]. Yields `(walked, signal, index)`: what `walk`
-        returned for the next pieces and their content pairs, flat and in order.
-
-        The walk steps over each piece's pairs by arithmetic, then one pass draws them all. A rejection shifts
-        every later word, so the block ends before the piece that drew it: that piece is walked again from its
-        start with the scalar calls, and the next block starts after it.
-        """
-        if not all(1 < n <= _HALF_RANGE for n in sizes):
-            raise ValueError(f"content pair sizes must lie in (1, 2**32], not {sizes}")
-        array_sizes = np.array(sizes, dtype=np.uint64)
-        done = 0
-        while done < count:
-            starts, marks, counts, walked = [], [], [], []
-
-            def skip(n):
-                """Step over n pairs as if none rejects: a word per `random()`, a fresh word per two integer draws
-                after the buffered half, if there is one."""
-                buffered = self._half is not None
-                marks.append((self._pos, self._half))
-                counts.append(n)
-                end = self._pos + n + (n + 1 - buffered) // 2
-                self._fill(end)
-                if (n + buffered) % 2 == 0:
-                    self._half = None
-                elif n:
-                    self._half = self._words.item(end - 1) >> 32  # the last fresh word is the last word read
-                self._pos = end
-
-            for i in range(done, min(done + _BLOCK, count)):
-                starts.append((self._pos, self._half))
-                walked.append(walk(i, skip))
-            signal, index, runs = self._pairs(marks, counts, chance, array_sizes)
-            if runs:
-                yield walked[:runs], signal, index
-            done += runs
-            if runs < len(walked):
-                self._pos, self._half = starts[runs]
-                flags, picks = [], []
-
-                def draw(n):
-                    for _ in range(n):
-                        flags.append(self.random() < chance)
-                        picks.append(self.integers(0, sizes[flags[-1]]))
-
-                yield [walk(done, draw)], np.array(flags, dtype=bool), np.array(picks, dtype=np.intp)
-                done += 1
-            self._words, self._pos = self._words[self._pos :], 0
-
-
 def generate(spec):
     """Build the corpus and its ground-truth bias ledger.
 
@@ -268,7 +128,7 @@ def generate(spec):
     realized per-entity counts and fake fractions of each period.
     Generation is deterministic given the seed.
     """
-    rng = _Draws(spec.seed)
+    rng = Draws(spec.seed)
     random, integers = rng.random, rng.integers
     names = spec.entity_names()
     fake_pool, real_pool, neutral_pool = _content_pools(spec.vocab_size)

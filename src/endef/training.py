@@ -29,6 +29,7 @@ from .framework import (
 )
 from .metrics import DEFAULT_MAXFPR, PredictionSet, evaluate, f1_scores
 from .models import MAX_SEQ_LEN, AdamState, ModelError, adam_step, sigmoid
+from .replay import Draws
 from .vocab import build_vocabulary
 
 
@@ -105,8 +106,9 @@ class TrainResult:
 
 
 def _rng_streams(seed):
+    """The shuffling `Generator` and the augmentation draws, replayed from the `Generator` of their own seed."""
     shuffle_ss, augment_ss = np.random.SeedSequence(seed).spawn(2)
-    return np.random.default_rng(shuffle_ss), np.random.default_rng(augment_ss)
+    return np.random.default_rng(shuffle_ss), Draws(augment_ss)
 
 
 def labels_of(corpus):
@@ -134,23 +136,24 @@ def train(model, split, cfg):
     reads entities is the entity-only shortcut classifier. Training pieces
     are truncated up front because augmentation draws per token of the
     truncated piece; each is encoded once per input view
-    (`framework.planned_ids`) and scanned once into a record that keeps
-    those ids (`augmentation.plan_records`), so only edited samples
-    re-derive ids in a batch. The validation ids are encoded once too.
+    (`framework.planned_ids`) and scanned once into the run's
+    `augmentation.Plan`, from which `augmentation.augment` derives each
+    batch's ids. The validation ids are encoded once too.
     The model is updated in place and, after the run, holds the parameters
     of the best validation epoch (not the last one).
     """
     _check_split(split)
     encoders = branches(model)
     opts = {name: AdamState.zeros(enc.num_params) for name, enc in encoders.items()}
-    shuffle_rng, augment_rng = _rng_streams(cfg.seed)
+    shuffle_rng, augment_draws = _rng_streams(cfg.seed)
     pieces = [truncate_piece(p, cfg.max_len) for p in split.train]
-    records = aug.plan_records(pieces, {e.reads: planned_ids(e, pieces, cfg.max_len) for e in encoders.values()})
-    labels = [p.label for p in pieces]
+    planned = {enc.reads: (enc.vocab, *planned_ids(enc, pieces, cfg.max_len)) for enc in encoders.values()}
+    plan = aug.Plan(pieces, planned, cfg.max_len)
+    labels = labels_of(pieces)
     # one small array per validation piece: a flat one raised score-new-period's peak RSS by 14 MB
     val_ids = [input_ids(encoders["detector"], p, cfg.max_len) for p in split.validation]
     val_labels = labels_of(split.validation)
-    n = len(records)
+    n = len(pieces)
     best_metric = -math.inf
     best_params = {name: enc.params.copy() for name, enc in encoders.items()}
     best_epoch = 0
@@ -162,11 +165,11 @@ def train(model, split, cfg):
         loss_sum = 0.0
         for start in range(0, n, cfg.batch_size):
             batch_idx = order[start : start + cfg.batch_size]
-            batch = [aug.augment(records[i], cfg.augment, augment_rng) for i in batch_idx]
-            ids = {name: [s.ids(enc, cfg.max_len) for s in batch] for name, enc in encoders.items()}
+            by_view = aug.augment(plan, batch_idx, cfg.augment, augment_draws)
+            ids = {name: by_view[enc.reads] for name, enc in encoders.items()}
             step += 1
             try:
-                loss, grads = loss_total(model, ids, [labels[i] for i in batch_idx], cfg.stop_grad_entity_from_overall)
+                loss, grads = loss_total(model, ids, labels[batch_idx], cfg.stop_grad_entity_from_overall)
             except ModelError as exc:
                 raise TrainingError(f"epoch {epoch}, batch {start // cfg.batch_size + 1}: {exc}") from exc
             for name, enc in encoders.items():

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from endef.augmentation import Sample, plan_records, recompute_entities
+from endef.augmentation import Plan, _partition, augment, recompute_entities
 from endef.corpus import Corpus, NewsPiece, entity_bias_table
 from endef.experiments import flipped_bias_spec
 from endef.framework import branches, input_ids, loss_total, planned_ids
@@ -198,19 +198,116 @@ def make_piece(pid, tokens, entities=(), label=0, timestamp=0):
     return NewsPiece(pid, tuple(tokens), tuple(entities), label, timestamp)
 
 
-def make_plan(pieces, max_len=MAX_SEQ_LEN):
-    """Training records of pieces, planned for a token reader and an entity reader on the pieces' words.
+class PieceRecord:
+    """A training piece scanned once: its in-text gazetteer, external entities, entity spans and the ids each view reads."""
 
-    Returns (records, encoders by the view each reads).
+    __slots__ = ("piece", "scanner", "external", "spans", "planned")
+
+    def __init__(self, piece, scanners, planned):
+        self.piece = piece
+        self.scanner, self.external = _partition(piece, scanners)
+        self.spans = tuple((a, b) for a, b, _ in self.scanner.spans(piece.tokens))
+        self.planned = planned
+
+    def ids(self, encoder, max_len):
+        """The ids an encoder reads from the unedited piece: those planned for its view."""
+        return self.planned[encoder.reads]
+
+
+class Sample:
+    """An edited training record: the record and where the edit fell.
+
+    `masked` holds the positions a mask replaced (empty for a drop) and
+    `kept` the positions a drop kept (None for a mask), both counted on
+    the tokens of `record.piece`. The id and label stay on `record.piece`.
+    """
+
+    __slots__ = ("record", "masked", "kept")
+
+    def __init__(self, record, masked, kept):
+        self.record = record
+        self.masked = masked
+        self.kept = kept
+
+    def ids(self, encoder, max_len):
+        """The ids an encoder reads from the edit, derived from those planned for its record.
+
+        A token reader's ids are the planned ones with [MASK]'s id written at
+        the masked positions, or only the kept ones left. Only an entity reader
+        rebuilds the edited tokens; it rescans them and re-encodes the recount
+        only when it changed.
+        """
+        record = self.record
+        planned = record.planned[encoder.reads]
+        if encoder.reads == "tokens":
+            if self.kept is not None:
+                return planned[self.kept]
+            ids = planned.copy()
+            ids[list(self.masked)] = encoder.vocab.mask_id
+            return ids
+        tokens = record.piece.tokens
+        positions = range(len(tokens)) if self.kept is None else self.kept
+        edited = tuple(MASK_TOKEN if i in self.masked else tokens[i] for i in positions)
+        entities = tuple(e for _, _, e in record.scanner.spans(edited)) + record.external
+        if entities == record.piece.entities:
+            return planned
+        return encoder.vocab.encode_entities(entities, max_len)
+
+
+def augment_record(record, settings, rng):
+    """The per-sample augmentation oracle: one record under `training.AugmentSettings`, drawing from a `Generator`.
+
+    Nothing is drawn when augmentation is disabled. Otherwise the sample is
+    skipped with chance 1 - apply_probability (one draw, made only when that
+    chance is positive), then one kind and one action are picked uniformly
+    from the allowed ones. Word-level selects each token independently with
+    the settings' probability; entity-level selects whole recognized spans
+    (one draw per occurrence). When dropping would empty the sequence, one
+    unmodified token chosen uniformly is retained instead. An unedited
+    record comes back as itself; an edited one as a `Sample`.
+    """
+    if not settings.enabled:
+        return record
+    if settings.apply_probability < 1.0 and rng.random() >= settings.apply_probability:
+        return record
+    kind = settings.kinds[int(rng.integers(len(settings.kinds)))]
+    action = settings.actions[int(rng.integers(len(settings.actions)))]
+    p = settings.probability
+    tokens = record.piece.tokens
+    if kind == "word_level":
+        draws = rng.random(len(tokens)).tolist()
+        selected = {i for i, u in enumerate(draws) if u < p}
+    else:
+        draws = rng.random(len(record.spans)).tolist()
+        selected = {i for (a, b), u in zip(record.spans, draws) if u < p for i in range(a, b)}
+    if not selected:
+        return record
+    if action == "mask":
+        return Sample(record, selected, None)
+    return Sample(record, (), [i for i in range(len(tokens)) if i not in selected] or [int(rng.integers(len(tokens)))])
+
+
+def make_plan(pieces, max_len=MAX_SEQ_LEN):
+    """Pieces planned for a token reader and an entity reader on the pieces' words.
+
+    Returns (oracle records, encoders by the view each reads, the batch `Plan`).
     """
     pieces = list(pieces)
     vocab = build_vocabulary(pieces, 1)
     encoders = {view: ScalarModel(tiny_spec(BAG_OF_EMBEDDINGS), vocab, reads=view) for view in INPUT_VIEWS}
-    return plan_records(pieces, {view: planned_ids(enc, pieces, max_len) for view, enc in encoders.items()}), encoders
+    planned = {view: (enc.vocab, *planned_ids(enc, pieces, max_len)) for view, enc in encoders.items()}
+    scanners = {}
+    records = [
+        PieceRecord(p, scanners, {view: flat[bounds[k] : bounds[k + 1]] for view, (_, flat, bounds) in planned.items()})
+        for k, p in enumerate(pieces)
+    ]
+    return records, encoders, Plan(pieces, planned, max_len)
 
 
-def make_record(piece):
-    return make_plan([piece])[0][0]
+def batch_ids(plan, batch, settings, draws):
+    """`augmentation.augment` of a batch of plan indices, as one {view: id list} per sample."""
+    out = augment(plan, np.asarray(batch), settings, draws)
+    return [{view: ids[k].tolist() for view, ids in out.items()} for k in range(len(batch))]
 
 
 def shown(sample):

@@ -19,14 +19,29 @@ from endef.corpus import contains_subsequence
 from endef.framework import input_ids
 from endef.models import MAX_SEQ_LEN
 from endef.recognizer import Gazetteer, recognize
+from endef.replay import Draws
 from endef.training import AugmentSettings, TrainingError
 
-from conftest import make_piece, make_plan, make_record, reference_longest_matches, shown, snapshot
+from conftest import (
+    Sample,
+    augment_record,
+    batch_ids,
+    make_piece,
+    make_plan,
+    reference_longest_matches,
+    shown,
+    snapshot,
+)
 
 
 def only(kind, action, probability):
     """Settings that allow a single kind and a single action."""
     return AugmentSettings(probability=probability, kinds=(kind,), actions=(action,))
+
+
+def words_of(ids, plan):
+    """The tokens a token reader's ids stand for."""
+    return tuple(plan.vocabs["tokens"].tokens[j] for j in ids)
 
 
 def test_policy_validation():
@@ -40,103 +55,100 @@ def test_policy_validation():
         AugmentSettings(kinds=())
 
 
-def test_p_zero_is_identity(rng):
+def test_p_zero_is_identity():
     piece = make_piece("a", ("x", "y", "z"), ("y",), 1, 3)
-    record = make_record(piece)
+    (record,), _, plan = make_plan([piece])
+    draws = Draws(0)
     for kind in AUGMENT_KINDS:
         for action in AUGMENT_ACTIONS:
-            out = augment(record, only(kind, action, 0.0), rng)
-            assert out is record and record.piece is piece
-            assert shown(out) == (piece.id, piece.label, piece.tokens, piece.entities)
+            out = augment(plan, np.array([0]), only(kind, action, 0.0), draws)
+            assert out["tokens"][0].tolist() == plan.views["tokens"][0].tolist()
+            assert out["entities"][0] is plan.views["entities"][0] and plan.pieces[0] is piece
+            assert augment_record(record, only(kind, action, 0.0), np.random.default_rng(0)) is record
 
 
-def test_p_one_drop_guard_leaves_one_token(rng):
+def test_p_one_drop_guard_leaves_one_token():
     piece = make_piece("a", ("t1", "t2", "t3", "t4", "t5"))
-    out = augment(make_record(piece), only("word_level", "drop", 1.0), rng)
-    _, _, tokens, _ = shown(out)
-    assert len(out.kept) == 1 and len(tokens) == 1
-    assert tokens[0] in piece.tokens
-    assert out.record.piece.label == piece.label and out.record.piece.id == piece.id
+    _, _, plan = make_plan([piece])
+    (out,) = batch_ids(plan, [0], only("word_level", "drop", 1.0), Draws(0))
+    tokens = words_of(out["tokens"], plan)
+    assert len(tokens) == 1 and tokens[0] in piece.tokens
+    assert plan.pieces[0] is piece
 
 
-def test_mask_preserves_length(rng):
+def test_mask_preserves_length():
     piece = make_piece("a", ("t1", "t2", "t3"), ("t2",))
-    out = augment(make_record(piece), only("word_level", "mask", 1.0), rng)
-    assert out.kept is None and out.masked == {0, 1, 2}
-    assert shown(out)[2] == (MASK_TOKEN,) * 3
+    _, _, plan = make_plan([piece])
+    (out,) = batch_ids(plan, [0], only("word_level", "mask", 1.0), Draws(0))
+    assert words_of(out["tokens"], plan) == (MASK_TOKEN,) * 3
 
 
-def test_package_root_re_exports_no_augment_that_needs_a_plan(rng):
-    """`augment` edits a planned record, so the package root does not offer it for a piece."""
-    import endef
-
+def test_package_root_re_exports_no_augment_that_needs_a_plan():
+    """`augment` edits a batch of a training plan, so the package root does not offer it for a piece."""
     with pytest.raises(ImportError):
         from endef import augment as _  # noqa: F401
-    piece = make_piece("a", ("t1", "t2", "t3"), ("t2",))
-    out = endef.augmentation.augment(make_record(piece), only("word_level", "mask", 1.0), rng)
-    assert shown(out)[2] == (MASK_TOKEN,) * 3
+    _, _, plan = make_plan([make_piece("a", ("t1", "t2", "t3"), ("t2",))])
+    out = endef.augmentation.augment(plan, np.array([0]), only("word_level", "mask", 1.0), Draws(0))
+    assert words_of(out["tokens"][0], plan) == (MASK_TOKEN,) * 3
 
 
 def test_word_level_selection_fraction():
-    rng = np.random.default_rng(7)
     settings = only("word_level", "mask", 0.1)
-    total = masked = 0
-    records, _ = make_plan(make_piece(f"p{i}", tuple(f"t{j}" for j in range(20))) for i in range(500))
-    for record in records:
-        out = augment(record, settings, rng)
-        total += 20
-        masked += sum(t == MASK_TOKEN for t in shown(out)[2])
+    _, _, plan = make_plan(make_piece(f"p{i}", tuple(f"t{j}" for j in range(20))) for i in range(500))
+    draws, total, masked = Draws(7), 0, 0
+    for start in range(0, 500, 64):
+        for out in batch_ids(plan, range(start, min(start + 64, 500)), settings, draws):
+            total += 20
+            masked += words_of(out["tokens"], plan).count(MASK_TOKEN)
     assert total == 10000
     assert abs(masked / total - 0.1) <= 0.01
 
 
-def entity_reader_ids(out, encoders):
-    """The ids an entity reader gets from a training sample, as a list."""
-    return out.ids(encoders["entities"], MAX_SEQ_LEN).tolist()
-
-
-def test_entity_level_hits_whole_span(rng):
+def test_entity_level_hits_whole_span():
     piece = make_piece("a", ("New", "York", "is", "big"), ("New York",))
-    (record,), encoders = make_plan([piece])
-    out = augment(record, only("entity_level", "mask", 1.0), rng)
-    assert shown(out)[2:] == ((MASK_TOKEN, MASK_TOKEN, "is", "big"), ())  # masked span no longer matches
-    assert entity_reader_ids(out, encoders) == [encoders["entities"].vocab.pad_id]
-    assert entity_reader_ids(record, encoders) == encoders["entities"].vocab.encode_entities(piece.entities).tolist()
+    _, encoders, plan = make_plan([piece])
+    (out,) = batch_ids(plan, [0], only("entity_level", "mask", 1.0), Draws(0))
+    assert words_of(out["tokens"], plan) == (MASK_TOKEN, MASK_TOKEN, "is", "big")
+    assert out["entities"] == [encoders["entities"].vocab.pad_id]  # the masked span no longer matches
+    assert plan.views["entities"][0].tolist() == encoders["entities"].vocab.encode_entities(piece.entities).tolist()
 
 
-def test_entity_level_drop_removes_span_and_recomputes(rng):
+def test_entity_level_drop_removes_span_and_recomputes():
     piece = make_piece("a", ("New", "York", "is", "big", "New", "York"), ("New York", "New York"))
-    (record,), encoders = make_plan([piece])
-    out = augment(record, only("entity_level", "drop", 1.0), rng)
-    assert shown(out)[2:] == (("is", "big"), ())
-    assert out.kept == [2, 3]
-    assert entity_reader_ids(out, encoders) == [encoders["entities"].vocab.pad_id]
+    _, encoders, plan = make_plan([piece])
+    (out,) = batch_ids(plan, [0], only("entity_level", "drop", 1.0), Draws(0))
+    assert words_of(out["tokens"], plan) == ("is", "big")
+    assert out["entities"] == [encoders["entities"].vocab.pad_id]
 
 
 def test_label_and_id_never_change():
-    rng = np.random.default_rng(3)
     piece = make_piece("keep", ("a", "b", "c", "d"), ("b",), 1, 9)
-    record = make_record(piece)
-    settings = AugmentSettings(probability=0.5)
+    _, _, plan = make_plan([piece])
+    draws = Draws(3)
     for _ in range(50):
-        out = augment(record, settings, rng)
-        assert shown(out)[:2] == (piece.id, piece.label)
-        # the source piece, timestamp included, is the record's untouched piece
-        assert (out if out is record else out.record) is record and record.piece is piece
+        out = augment(plan, np.array([0]), AugmentSettings(probability=0.5), draws)
+        # a batch hands back ids only: the piece, with its id, label and timestamp, stays the plan's own
+        assert out.keys() == {"tokens", "entities"} and plan.pieces == [piece] and plan.pieces[0] is piece
+    assert (piece.id, piece.label, piece.timestamp) == ("keep", 1, 9)
 
 
-def test_external_entities_survive_editing(rng):
+def test_external_entities_survive_editing():
     piece = make_piece("a", ("x", "y"), ("external one",), 0, 0)
-    (record,), encoders = make_plan([piece])
-    out = augment(record, only("word_level", "drop", 1.0), rng)
-    assert "external one" in shown(out)[3]
+    (record,), _, plan = make_plan([piece])
+    out = augment(plan, np.array([0]), only("word_level", "drop", 1.0), Draws(0))
+    assert len(out["tokens"][0]) == 1
+    assert "external one" in shown(augment_record(record, only("word_level", "drop", 1.0), np.random.default_rng(0)))[3]
     # the entity list did not change, so an entity reader gets the planned ids themselves
-    assert out.ids(encoders["entities"], MAX_SEQ_LEN) is record.ids(encoders["entities"], MAX_SEQ_LEN)
+    assert out["entities"][0] is plan.views["entities"][0]
 
 
 def test_entity_spans_longest_leftmost():
-    record = make_record(make_piece("s", ("a", "b", "c", "a"), ("a b", "a", "c")))
+    (record,), _, plan = make_plan([make_piece("s", ("a", "b", "c", "a"), ("a b", "a", "c"))])
     assert record.spans == ((0, 2), (2, 3), (3, 4))
+    # the plan's span units: each span as (first token, tokens), after the piece's 4 word-level units
+    spans = slice(plan.units[False][0], None)
+    assert list(zip(plan.unit_start[spans].tolist(), plan.unit_length[spans].tolist())) == [(0, 2), (2, 1), (3, 1)]
+    assert plan.in_span.tolist() == [True] * 4 and plan.covered == [True]
 
 
 def test_recompute_entities_after_edit():
@@ -164,12 +176,11 @@ def test_recount_reports_the_canonical_spelling_under_any_hash_seed():
     assert recognize(edited, Gazetteer(frozenset(entities))) == ("New  York",)
 
 
-# Every output of `augment` on this piece at probability 1 tells which kind and action were drawn.
+# Every edit of this piece at probability 1 tells by its tokens which kind and action were drawn.
 KIND_ACTION_PIECE = make_piece("a", ("New", "York", "is", "big"), ("New York",))
 
 
-def drawn_kind_action(out):
-    tokens = shown(out)[2]
+def drawn_kind_action(tokens):
     if tokens == (MASK_TOKEN,) * 4:
         return "word_level", "mask"
     if len(tokens) == 1:
@@ -182,32 +193,32 @@ def drawn_kind_action(out):
 
 def test_kind_action_draw_deterministic_and_uniform():
     settings = AugmentSettings(probability=1.0)
-    (record,), encoders = make_plan([KIND_ACTION_PIECE])
-    rng1 = np.random.default_rng(42)
-    rng2 = np.random.default_rng(42)
-    seq1 = [snapshot(augment(record, settings, rng1), encoders) for _ in range(20)]
-    seq2 = [snapshot(augment(record, settings, rng2), encoders) for _ in range(20)]
+    _, _, plan = make_plan([KIND_ACTION_PIECE])
+    draws1, draws2 = Draws(42), Draws(42)
+    seq1 = [batch_ids(plan, [0], settings, draws1) for _ in range(20)]
+    seq2 = [batch_ids(plan, [0], settings, draws2) for _ in range(20)]
     assert seq1 == seq2
 
-    rng = np.random.default_rng(11)
+    draws = Draws(11)
     counts = {}
     n = 10000
     for _ in range(n):
-        key = drawn_kind_action(augment(record, settings, rng))
+        key = drawn_kind_action(words_of(batch_ids(plan, [0], settings, draws)[0]["tokens"], plan))
         counts[key] = counts.get(key, 0) + 1
     assert len(counts) == 4
     for count in counts.values():
         assert abs(count / n - 0.25) <= 0.02
 
 
-def test_kind_action_restriction(rng):
-    record = make_record(KIND_ACTION_PIECE)
+def test_kind_action_restriction():
+    _, _, plan = make_plan([KIND_ACTION_PIECE])
+    draws = Draws(0)
     for _ in range(20):
-        out = augment(record, AugmentSettings(probability=1.0, kinds=("word_level",)), rng)
-        assert drawn_kind_action(out)[0] == "word_level"
+        (out,) = batch_ids(plan, [0], AugmentSettings(probability=1.0, kinds=("word_level",)), draws)
+        assert drawn_kind_action(words_of(out["tokens"], plan))[0] == "word_level"
     for _ in range(20):
-        out = augment(record, AugmentSettings(probability=1.0, actions=("mask",)), rng)
-        assert drawn_kind_action(out)[1] == "mask"
+        (out,) = batch_ids(plan, [0], AugmentSettings(probability=1.0, actions=("mask",)), draws)
+        assert drawn_kind_action(words_of(out["tokens"], plan))[1] == "mask"
 
 
 def reference_matches(tokens, entity_strings):
@@ -305,19 +316,31 @@ REFERENCE_SETTINGS = (
 )
 
 
+# dropping only "d" joins a second "b c" that no span of the piece covers: a drop that misses every span rescans
+DROP_JOIN_PIECE = make_piece("j0", ("b", "c", "a", "b", "d", "c"), ("b c",), 0, 0)
+# entities listed out of occurrence order: an unedited sample reads them in this order, every edit in the recount's
+OUT_OF_ORDER_PIECE = make_piece("o0", ("x", "a", "y", "b", "z"), ("b", "a"), 1, 0)
+
+
+def oracle_pieces(seed):
+    """Random pieces, pieces whose masking can form an entity, and fixed pieces whose edits are easy to get wrong."""
+    data_rng = np.random.default_rng(1000 + seed)
+    pieces = [random_piece(data_rng, i) for i in range(30)]
+    form_rng = np.random.default_rng(2000 + seed)
+    pieces += [mask_form_piece(form_rng, i) for i in range(1, 10)] + [MASK_FORM_PIECE, OUT_OF_ORDER_PIECE]
+    return pieces + [replace(DROP_JOIN_PIECE, id=f"j{i}") for i in range(6)]
+
+
 def test_augment_matches_reference_stream():
     seen = set()
     for seed in range(40):
-        data_rng = np.random.default_rng(1000 + seed)
-        pieces = [random_piece(data_rng, i) for i in range(30)]
-        form_rng = np.random.default_rng(2000 + seed)
-        pieces += [MASK_FORM_PIECE] + [mask_form_piece(form_rng, i) for i in range(1, 10)]
-        records, encoders = make_plan(pieces)
+        pieces = oracle_pieces(seed)
+        records, encoders, _ = make_plan(pieces)
         for settings in REFERENCE_SETTINGS:
             rng = np.random.default_rng(seed)
             ref_rng = np.random.default_rng(seed)
             for piece, record in zip(pieces, records):
-                out = augment(record, settings, rng)
+                out = augment_record(record, settings, rng)
                 expect = reference_augment(piece, settings, ref_rng, seen)
                 assert (out is record) == (expect is piece)
                 assert (out if out is record else out.record) is record and record.piece is piece
@@ -326,3 +349,66 @@ def test_augment_matches_reference_stream():
                 assert rng.bit_generator.state == ref_rng.bit_generator.state
     kinds_actions = {(k, a) for k in AUGMENT_KINDS for a in AUGMENT_ACTIONS}
     assert kinds_actions | {"fallback"} <= seen
+
+
+class CountingDraws(Draws):
+    """Draws that count their scalar integer draws: a batch makes one only where it rewinds."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.scalar_integers = 0
+
+    def integers(self, lo, hi):
+        self.scalar_integers += 1
+        return super().integers(lo, hi)
+
+
+def edit_case(out):
+    """Which easy-to-miss edit an oracle sample is, if any."""
+    if not isinstance(out, Sample):
+        return None
+    piece = out.record.piece
+    touched = set(out.masked) if out.kept is None else set(range(len(piece.tokens))) - set(out.kept)
+    if piece.tokens == DROP_JOIN_PIECE.tokens and touched == {4}:
+        return "a drop joins an entity"
+    if piece is OUT_OF_ORDER_PIECE and not touched & {1, 3}:
+        return "an edit misses every span of an out-of-order piece"
+    return None
+
+
+@pytest.mark.parametrize("batch_size", [1, 7, 64])
+def test_batch_matches_the_per_sample_oracle(batch_size):
+    """Each sample of a batch reads the ids the per-sample oracle gives it, and both streams end at the same draw."""
+    rewinds, cases = 0, set()
+    for seed in range(12):
+        pieces = oracle_pieces(seed)
+        records, encoders, plan = make_plan(pieces)
+        order = np.random.default_rng(seed).permutation(len(pieces))
+        for settings in REFERENCE_SETTINGS:
+            draws, rng = CountingDraws(seed), np.random.default_rng(seed)
+            for epoch in range(3):
+                for start in range(0, len(order), batch_size):
+                    batch = order[start : start + batch_size].tolist()
+                    for i, got in zip(batch, batch_ids(plan, batch, settings, draws)):
+                        out = augment_record(records[i], settings, rng)
+                        assert got == {view: out.ids(enc, MAX_SEQ_LEN).tolist() for view, enc in encoders.items()}
+                        cases.add(edit_case(out))
+            rewinds += draws.scalar_integers
+            assert draws.random() == rng.random()
+            assert draws.integers(0, 7) == rng.integers(7)
+    assert rewinds > 0
+    assert cases >= {"a drop joins an entity", "an edit misses every span of an out-of-order piece"}
+
+
+def test_a_drop_that_misses_every_span_still_rescans_a_multi_word_entity():
+    # the word-level drop of "d" alone: selection draws below 0.5 only at token 4
+    (record,), encoders, plan = make_plan([DROP_JOIN_PIECE])
+    settings = only("word_level", "drop", 0.5)
+    for seed in range(200):
+        out = augment_record(record, settings, np.random.default_rng(seed))
+        if edit_case(out) == "a drop joins an entity":
+            break
+    (got,) = batch_ids(plan, [0], settings, Draws(seed))
+    vocab = encoders["entities"].vocab
+    assert shown(out)[2:] == (("b", "c", "a", "b", "c"), ("b c", "b c"))
+    assert got["entities"] == vocab.encode_entities(("b c", "b c")).tolist() != plan.views["entities"][0].tolist()

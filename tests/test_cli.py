@@ -1,5 +1,6 @@
 import base64
 import json
+import math
 import re
 from dataclasses import replace
 
@@ -188,6 +189,32 @@ def test_evaluate_refuses_a_prediction_label_or_score_of_the_wrong_type(tmp_path
     assert run_cli("evaluate", "--predictions", pred_path, "--out-dir", out) == 1
     assert capsys.readouterr().err == f"error: {pred_path}: line 3: {problem}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("score", [math.nan, math.inf, -math.inf, -0.1, 1.5])
+def test_evaluate_refuses_a_score_outside_zero_one_at_its_line(tmp_path, capsys, score):
+    pred_path = tmp_path / "preds.jsonl"
+    rows = [{"score": 0.9, "label": 1}, {"score": score, "label": 0}, {"score": 0.8, "label": 1}]
+    pred_path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    assert run_cli("evaluate", "--predictions", pred_path, "--out-dir", tmp_path / "eval") == 1
+    problem = f"field 'score' must be a finite number within [0, 1], got {score!r}"
+    assert capsys.readouterr().err == f"error: {pred_path}: line 2: {problem}\n"
+    assert not (tmp_path / "eval").exists()
+
+
+@pytest.mark.parametrize(
+    "text, problem",
+    [
+        ("", "holds no prediction record"),
+        ("\n", "holds no prediction record"),
+        ('{"score": 0.9, "label": 1}\n{"score": 0.2, "label": 1}\n', "every label is 1"),
+    ],
+)
+def test_evaluate_names_the_file_of_an_empty_or_single_class_prediction_set(tmp_path, capsys, text, problem):
+    pred_path = tmp_path / "preds.jsonl"
+    pred_path.write_text(text, encoding="utf-8")
+    assert run_cli("evaluate", "--predictions", pred_path, "--out-dir", tmp_path / "eval") == 1
+    assert capsys.readouterr().err == f"error: {pred_path}: {problem}\n"
 
 
 def test_evaluate_refuses_a_prediction_record_without_a_field(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -213,6 +214,22 @@ def test_contains_subsequence():
     assert contains_subsequence(("a", "b", "c"), ("b", "c"))
     assert not contains_subsequence(("a", "b", "c"), ("c", "b"))
     assert not contains_subsequence(("a",), ())
+
+
+def test_contains_subsequence_matches_the_scan_of_every_position():
+    # the scan `contains_subsequence` was before it compared only where the run's first word occurs
+    def naive(tokens, sub):
+        sub, m = tuple(sub), len(sub)
+        return m > 0 and any(tuple(tokens[i : i + m]) == sub for i in range(len(tokens) - m + 1))
+
+    rng = np.random.default_rng(5)
+    found = 0
+    for _ in range(3000):
+        tokens = tuple(rng.choice(["a", "b", "c"], size=int(rng.integers(0, 9))).tolist())
+        sub = rng.choice(["a", "b", "c"], size=int(rng.integers(0, 4))).tolist()
+        assert contains_subsequence(tokens, sub) == contains_subsequence(list(tokens), tuple(sub)) == naive(tokens, sub)
+        found += naive(tokens, sub)
+    assert 500 < found < 2500
 
 
 def test_piece_validation():

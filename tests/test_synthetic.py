@@ -8,7 +8,8 @@ import pytest
 
 from endef.experiments import FLIPPED_TEST_CORR, FLIPPED_TRAIN_CORR, flipped_bias_spec
 from endef.payload import from_fields
-from endef.synthetic import _BLOCK, _RAW_CHUNK, BiasSpec, SyntheticSpecError, _Draws, entity_cdf, generate
+from endef.replay import _BLOCK, _RAW_CHUNK, DOUBLE_UNIT, Draws
+from endef.synthetic import BiasSpec, SyntheticSpecError, entity_cdf, generate
 
 from conftest import recognized_audit, unbiased_spec
 
@@ -301,7 +302,7 @@ DRAW_RANGES = (1, 2, 3, 7, 10_000, 2**31 + 1, 3_000_000_000, 2**32)
 @pytest.mark.parametrize("seed", [0, 7, 2024, 987_654_321])
 def test_draws_replay_what_the_generator_draws(seed):
     # a numpy upgrade that changes PCG64's output or the bounded-integer path fails here, not only in a digest
-    ours, theirs, script = _Draws(seed), np.random.default_rng(seed), np.random.default_rng(seed + 1)
+    ours, theirs, script = Draws(seed), np.random.default_rng(seed), np.random.default_rng(seed + 1)
     # half the calls are `random()`, as in `generate`'s token loop; it must not touch the buffered half-word
     ops = script.integers(0, 2 * len(DRAW_RANGES), size=25_000).tolist()
     offsets = script.integers(0, 1_000, size=25_000).tolist()
@@ -316,10 +317,29 @@ def test_draws_replay_what_the_generator_draws(seed):
             assert lo <= drawn < hi
 
 
+@pytest.mark.parametrize("seed", [0, 3])
+def test_draws_from_a_seed_sequence_replay_augmentation_calls(seed):
+    # training's augmentation stream: a spawned SeedSequence, drawn as augmentation draws from a Generator;
+    # `random(n)` is read from the window, as a batch reads its selection draws, then stepped over with `seek`
+    ss = np.random.SeedSequence(seed).spawn(2)[1]
+    ours, theirs, script = Draws(ss), np.random.default_rng(ss), np.random.default_rng(seed + 1)
+    for op, k in zip(script.integers(0, 5, size=20_000).tolist(), script.integers(2, 40, size=20_000).tolist()):
+        if op == 0:
+            assert ours.random() == theirs.random()
+        elif op == 1:
+            words, half = ours.window(k)
+            assert ((words[:k] >> 11) * DOUBLE_UNIT).tolist() == theirs.random(k).tolist()
+            ours.seek(k, half)
+        else:
+            hi = (1, 2, k)[op - 2]
+            assert ours.integers(0, hi) == theirs.integers(hi)
+    assert ours.random() == theirs.random() and ours.integers(0, 3) == theirs.integers(3)
+
+
 @pytest.mark.parametrize("lo, hi", [(5, 5), (3, 2), (0, 2**32 + 1), (10, 2**33)])
 def test_draws_reject_a_range_the_replay_cannot_serve(lo, hi):
     with pytest.raises(ValueError, match=rf"\[{lo}, {hi}\)"):
-        _Draws(0).integers(lo, hi)
+        Draws(0).integers(lo, hi)
 
 
 # Content lengths of the pieces one `blocks` call walks: an empty walk, blocks of 0 and 1 pairs, more pieces than
@@ -340,7 +360,7 @@ BLOCK_SHAPES = ((), (0,), (1,), (0, 0, 0), (1, 0, 1), (3, 0, 5, 2, 1) * 60, (_RA
 def test_block_content_draws_replay_the_scalar_loop(seed, sizes, rejects):
     # `blocks` steps over each piece's content pairs and draws them in one pass; a reference Generator draws the same
     # walk call by call, so a wrong word position, buffered half or rejection replay shifts every later value
-    ours, theirs, script = _Draws(seed), np.random.default_rng(seed), np.random.default_rng(seed + 1)
+    ours, theirs, script = Draws(seed), np.random.default_rng(seed), np.random.default_rng(seed + 1)
     chance, entered, blocks = 0.4, set(), 0
     for shape in BLOCK_SHAPES:
         # zero or one range-2 draw before a run: it enters with and without a buffered half-word
@@ -384,4 +404,4 @@ def test_block_content_draws_replay_the_scalar_loop(seed, sizes, rejects):
 @pytest.mark.parametrize("sizes", [(1, 5), (5, 0), (2**32 + 1, 5)])
 def test_blocks_reject_a_size_the_pass_cannot_serve(sizes):
     with pytest.raises(ValueError, match="sizes"):
-        next(_Draws(0).blocks(1, lambda i, content: content(1), 0.5, sizes))
+        next(Draws(0).blocks(1, lambda i, content: content(1), 0.5, sizes))

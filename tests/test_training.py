@@ -20,12 +20,12 @@ from endef.metrics import PredictionSet, f1_scores
 from endef.models import BAG_OF_EMBEDDINGS, CONV_NGRAM, AdamState, EncoderSpec, ScalarModel, adam_step
 from endef.payload import from_fields
 from endef.recognizer import Gazetteer
+from endef.replay import Draws
 from endef.synthetic import BiasSpec, generate
 from endef.training import (
     AugmentSettings,
     TrainConfig,
     TrainingError,
-    _rng_streams,
     evaluate_model,
     grid_search_alpha,
     labels_of,
@@ -34,7 +34,7 @@ from endef.training import (
 )
 from endef.vocab import MASK_TOKEN, Vocabulary, build_vocabulary
 
-from conftest import make_piece, make_plan, piece_loss, unbiased_spec
+from conftest import augment_record, make_piece, make_plan, piece_loss, unbiased_spec
 from test_augmentation import REFERENCE_SETTINGS, reference_augment
 
 
@@ -162,9 +162,9 @@ def test_validation_and_test_never_augmented(monkeypatch):
     seen = []
     real_augment = aug.augment
 
-    def spy(record, settings, rng):
-        seen.append(record.piece.id)
-        return real_augment(record, settings, rng)
+    def spy(plan, batch, settings, draws):
+        seen.extend(plan.pieces[i].id for i in batch)
+        return real_augment(plan, batch, settings, draws)
 
     monkeypatch.setattr(aug, "augment", spy)
     model = make_endef_model(det_spec, ent_spec, vocab, seed=0)
@@ -172,52 +172,67 @@ def test_validation_and_test_never_augmented(monkeypatch):
     evaluate_model(result.model, split.test, cfg.max_len)
     assert seen, "augmentation never ran on the train part"
     assert set(seen) <= train_ids
+    assert len(seen) == len(result.history) * len(split.train)
 
 
 def test_augment_disabled_consumes_no_randomness():
     split, *_ = tiny_setup()
     settings = AugmentSettings(enabled=False, probability=1.0)
-    rng = np.random.default_rng(4)
-    state = rng.bit_generator.state
-    records, _ = make_plan(split.train)
-    for record in records:
-        assert aug.augment(record, settings, rng) is record
-    assert rng.bit_generator.state == state
+    draws = Draws(4)
+    _, _, plan = make_plan(split.train)
+    for start in range(0, len(split.train), 32):
+        out = aug.augment(plan, np.arange(start, min(start + 32, len(split.train))), settings, draws)
+        assert all(ids is plan.views[view][start + k] for view in out for k, ids in enumerate(out[view]))
+    # the replayer read no word: its next draws are a fresh Generator's first
+    fresh = np.random.default_rng(4)
+    assert draws.integers(0, 2) == fresh.integers(2) and draws.random() == fresh.random()
+
+
+def reference_edits(split, cfg, epochs):
+    """(edits, edits that touch an entity span) of a mask-only run, replayed by the per-sample oracle and `Generator`s."""
+    records, _, _ = make_plan(truncate_piece(p, cfg.max_len) for p in split.train)
+    shuffle_rng, augment_rng = (np.random.default_rng(ss) for ss in np.random.SeedSequence(cfg.seed).spawn(2))
+    edits = touched = 0
+    for _ in range(epochs):
+        for i in shuffle_rng.permutation(len(records)).tolist():
+            out = augment_record(records[i], cfg.augment, augment_rng)
+            if out is not records[i]:
+                edits += 1
+                touched += any(a <= t < b for a, b in records[i].spans for t in out.masked)
+    return edits, touched
 
 
 def test_only_an_entity_reader_rescans_an_edit(monkeypatch):
-    """A baseline run scans each uncut training piece once, while planning; a fused run also rescans each edit once."""
+    """A baseline run scans each uncut training piece once, while planning; a fused run also rescans each edit that
+    touches a span. The pieces' entities are single words without [MASK], so a mask that touches no span leaves the
+    recount as it was."""
     split, vocab, det_spec, ent_spec, cfg = tiny_setup()
-    cfg = replace(cfg, augment=AugmentSettings(probability=0.5, kinds=("entity_level",)))
+    cfg = replace(cfg, augment=AugmentSettings(probability=0.3, actions=("mask",)))
     assert all(len(p.tokens) <= cfg.max_len for p in split.train)
-    counts = {"spans": 0, "edits": 0}
-    real_spans, real_augment = Gazetteer.spans, aug.augment
+    assert all(len(e.split()) == 1 and e != MASK_TOKEN for p in split.train for e in p.entities)
+    counts = {"spans": 0}
+    real_spans = Gazetteer.spans
 
     def counting_spans(self, words, bounds=None):
         counts["spans"] += 1
         return real_spans(self, words, bounds)
 
-    def counting_augment(record, settings, rng):
-        out = real_augment(record, settings, rng)
-        counts["edits"] += out is not record
-        return out
-
     monkeypatch.setattr(Gazetteer, "spans", counting_spans)
-    monkeypatch.setattr(aug, "augment", counting_augment)
     train(ScalarModel(det_spec, vocab, seed=0), split, cfg)
-    assert counts["edits"] > 0
     assert counts["spans"] == len(split.train)
-    counts.update(spans=0, edits=0)
-    train(make_endef_model(det_spec, ent_spec, vocab, seed=0), split, cfg)
-    assert counts["edits"] > 0
-    assert counts["spans"] == len(split.train) + counts["edits"]
+    counts.update(spans=0)
+    result = train(make_endef_model(det_spec, ent_spec, vocab, seed=0), split, cfg)
+    monkeypatch.setattr(Gazetteer, "spans", real_spans)
+    edits, touched = reference_edits(split, cfg, len(result.history))
+    assert 0 < touched < edits
+    assert counts["spans"] == len(split.train) + touched
 
 
 def reference_train(model, split, cfg):
     """The loop before the per-piece plan: augment each truncated piece, then `piece_loss` encodes the batch."""
     encoders = branches(model)
     opts = {name: AdamState.zeros(enc.num_params) for name, enc in encoders.items()}
-    shuffle_rng, augment_rng = _rng_streams(cfg.seed)
+    shuffle_rng, augment_rng = (np.random.default_rng(ss) for ss in np.random.SeedSequence(cfg.seed).spawn(2))
     train_pieces = [truncate_piece(p, cfg.max_len) for p in split.train]
     val_labels = labels_of(split.validation)
     n = len(train_pieces)
