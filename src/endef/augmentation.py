@@ -195,12 +195,13 @@ def _edited_ids(plan, batch, walked, selected, keeps):
     idx = np.array(batch, dtype=np.intp)
     sizes = plan.first[idx + 1] - plan.first[idx]
     first = np.cumsum(sizes) - sizes  # the batch's tokens, sample after sample
+    owner = np.repeat(np.arange(len(slots)), counts)[selected]  # the sample of each selected unit
     unit = _runs(firsts, counts)[selected]
     length = plan.unit_length[unit]
-    edit = np.zeros(plan.first[-1], dtype=np.int8)  # per token: 0 kept, 1 masked, 2 dropped
-    edit[_runs(plan.unit_start[unit], length)] = np.repeat(np.repeat(1 + drops, counts)[selected], length)
+    shift = (first[slots] - plan.first[idx[slots]])[owner]  # from plan to batch token positions
+    edit = np.zeros(int(sizes.sum()), dtype=np.int8)  # per token: 0 kept, 1 masked, 2 dropped
+    edit[_runs(plan.unit_start[unit] + shift, length)] = np.repeat(1 + drops[owner], length)
     at = _runs(plan.first[idx], sizes)
-    edit = edit[at]
     picked = np.add.reduceat(edit > 0, first)
     drop = np.zeros(len(batch), dtype=bool)
     drop[slots] = drops
