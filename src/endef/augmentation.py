@@ -58,9 +58,8 @@ class Plan:
     (vocabulary, flat ids, bounds), the ids of piece r being
     flat[bounds[r]:bounds[r + 1]] (`framework.planned_ids`). Training pieces
     are cut to max_len before they are planned, so token ids line up with
-    tokens. Token positions are counted over all pieces end to end. A
-    selection unit is a token (word level) or an entity span (entity level),
-    word-level units first; `units[word_level][i]` is the first unit of piece i.
+    tokens. Token positions are counted over all pieces end to end; the
+    spans of piece i are spans first_span[i], first_span[i] + 1, ...
     """
 
     def __init__(self, pieces, planned, max_len):
@@ -69,33 +68,33 @@ class Plan:
         self.vocabs = {view: vocab for view, (vocab, _, _) in planned.items()}
         self.flat = {view: flat for view, (_, flat, _) in planned.items()}
         self.views = {view: _views(flat, bounds) for view, (_, flat, bounds) in planned.items()}
-        self.ntok = [len(p.tokens) for p in pieces]
-        self.first = np.concatenate(([0], np.cumsum(self.ntok, dtype=np.intp)))
+        ntok = [len(p.tokens) for p in pieces]
+        self.first = np.concatenate(([0], np.cumsum(ntok, dtype=np.intp)))
         scanners = {}
-        self.scanners, self.externals, self.nspan, spans, names, rescans = [], [], [], [], [], []
+        self.scanners, self.externals, nspan, spans, names, rescans = [], [], [], [], [], []
         for piece, first in zip(pieces, self.first.tolist()):
             scanner, external = _partition(piece, scanners)
             found = scanner.spans(piece.tokens)
             self.scanners.append(scanner)
             self.externals.append(external)
-            self.nspan.append(len(found))
+            nspan.append(len(found))
             spans += [(first + a, b - a) for a, b, _ in found]
             names.append(tuple(e for _, _, e in found) + external)
             rescans.append((any(MASK_TOKEN in e.split() for e in scanner.entries), scanner.max_tokens > 1))
-        n_tokens = int(self.first[-1])
-        self.widest = max(self.ntok, default=0)
         start, length = np.array(spans, dtype=np.intp).reshape(-1, 2).T
-        self.in_span = np.zeros(n_tokens, dtype=bool)
+        self.span_start, self.span_length = start.astype(np.int32), length.astype(np.int32)
+        self.first_span = np.cumsum(nspan, dtype=np.intp) - nspan
+        self.in_span = np.zeros(int(self.first[-1]), dtype=bool)
         self.in_span[_runs(start, length)] = True
-        # every unit as (first token position, tokens): one per token, then one per span
-        self.unit_start = np.concatenate((np.arange(n_tokens), start)).astype(np.int32)
-        self.unit_length = np.concatenate((np.ones(n_tokens, dtype=np.intp), length)).astype(np.int32)
-        self.units = ((n_tokens + np.cumsum(self.nspan, dtype=np.intp) - self.nspan).tolist(), self.first[:-1].tolist())
+        # per (word level, drop): the selection draws of each piece, and the range of the token a drop that
+        # selects them all keeps, if such a drop empties the piece: every word, or spans that cover every token
+        spanned = np.bincount(np.repeat(np.arange(len(pieces)), nspan), length, len(pieces))
+        emptied = [n if covered else 1 for n, covered in zip(ntok, (spanned == ntok).tolist())]
+        self.options = {(True, True): (ntok, ntok), (True, False): (ntok, None), (False, True): (nspan, emptied)}
+        self.options[False, False] = (nspan, None)
         # an edit that misses every span leaves a recount unchanged unless masking can complete an entity
         # with [MASK] in its words, or dropping can join the words of a multi-word entity
         self.rescans = np.array(rescans, dtype=bool).reshape(-1, 2)
-        spanned = np.bincount(np.repeat(np.arange(len(pieces)), self.nspan), length, len(pieces))
-        self.covered = (spanned == self.ntok).tolist()  # the spans cover every token
         if "entities" in planned:
             # what an entity reader gets from such an edit: its planning scan, not the piece's own entity order
             encode, views = self.vocabs["entities"].encode_entities, self.views["entities"]
@@ -114,76 +113,30 @@ def augment(plan, batch, settings, draws):
     augmentation is disabled. Otherwise the sample is skipped with chance
     1 - apply_probability (one `random()`, made only when that chance is
     positive), then one kind and one action are picked uniformly from the
-    allowed ones (one `integers(k)` each). Word-level selects each token
-    independently with the settings' probability; entity-level selects whole
-    recognized spans (one `random(n)`: a draw per token or span). A sample
-    whose selection is empty is unedited. When dropping would empty the
-    sequence, one token chosen uniformly (`integers(len(tokens))`) is kept.
+    allowed ones (one `integers(k)` each; a repeated entry is picked more
+    often). Word-level selects each token independently with the settings'
+    probability; entity-level selects whole recognized spans (one
+    `random(n)`: a draw per token or span). A sample whose selection is
+    empty is unedited. When dropping would empty the sequence, one token
+    chosen uniformly (`integers(len(tokens))`) is kept.
 
-    One Python step per sample reads its gate, kind and action draws and steps
-    over its selection draws by arithmetic; NumPy then draws and applies the
-    selections of the whole batch. The keep draw of a drop that empties a
-    sample depends on its selection draws, so the walk rewinds to just after
-    them, draws it with a scalar call and walks on from the next sample.
+    `draws.selections` makes the draws of the whole batch; the edits are then
+    applied to the batch in NumPy.
     """
     batch = batch.tolist()
     if not settings.enabled:
         return {view: [views[i] for i in batch] for view, views in plan.views.items()}
-    # integers(2) is a half-word's top bit and integers(1) draws nothing: the drawn bits index the choices
-    halves = len(settings.kinds) + len(settings.actions) - 2
     choices = list(product([kind == "word_level" for kind in settings.kinds], [a == "drop" for a in settings.actions]))
-    # random() < p is the word's top 53 bits < p * 2**53, exactly: random() scales them by 2**-53
-    gate = settings.apply_probability < 1.0
-    applied, threshold = settings.apply_probability * 2.0**53, settings.probability * 2.0**53
-    ntok, nspan, units, covered = plan.ntok, plan.nspan, plan.units, plan.covered
-    # per selecting sample: (slot in the batch, drops, first unit, units, first selection word, buffered half, whether
-    # its drop could empty it and draw a kept token); per slot, the kept token of an emptied drop that drew one
-    walked, chosen, keeps = [], [], {}
-    start = 0
-    while start < len(batch):
-        words, half = draws.window((len(batch) - start) * (plan.widest + 2))
-        chunk, pos = [], 0
-        for k in range(start, len(batch)):
-            i = batch[k]
-            if gate:
-                pos += 1
-                if words.item(pos - 1) >> 11 >= applied:
-                    continue
-            bits = 0
-            for _ in range(halves):
-                if half is None:
-                    raw = words.item(pos)
-                    pos += 1
-                    bits, half = bits << 1 | (raw >> 31) & 1, raw >> 32
-                else:
-                    bits, half = bits << 1 | half >> 31, None
-            word_level, drop = choices[bits]
-            n = ntok[i] if word_level else nspan[i]
-            emptiable = drop and ntok[i] > 1 and (word_level or covered[i])
-            chunk.append((k, drop, units[word_level][i], n, pos, half, emptiable))
-            pos += n
-        start = len(batch)
-        n = np.array([c[3] for c in chunk], dtype=np.intp)
-        selected = (words[_runs(np.array([c[4] for c in chunk], dtype=np.intp), n)] >> 11) < threshold
-        if any(c[6] for c in chunk):
-            ends = np.cumsum(n)
-            picked = np.concatenate(([0], np.cumsum(selected)))
-            (empties,) = np.nonzero((picked[ends] - picked[ends - n] == n) & [c[6] for c in chunk])
-            if len(empties):  # rewind to just after the selection draws of the first such drop
-                chunk, selected = chunk[: empties[0] + 1], selected[: ends[empties[0]]]
-                start, _, _, n, pos, half, _ = chunk[-1]
-                pos += n
-        draws.seek(pos, half)
-        if start < len(batch):
-            keeps[start] = draws.integers(0, ntok[batch[start]])
-            start += 1
-        walked += chunk
-        chosen.append(selected)
-    return _edited_ids(plan, batch, walked, np.concatenate(chosen), keeps)
+    gate = settings.apply_probability if settings.apply_probability < 1.0 else None
+    ranges = (len(settings.kinds), len(settings.actions))
+    options = [plan.options[choice] for choice in choices]
+    slots, picks, counts, selected, keeps = draws.selections(batch, gate, ranges, options, settings.probability)
+    word_level, drops = np.array(choices, dtype=bool).reshape(-1, 2)[picks].T
+    return _edited_ids(plan, batch, slots, word_level, drops, counts, selected, keeps)
 
 
-def _edited_ids(plan, batch, walked, selected, keeps):
-    """The ids each view reads from a batch of samples, given each selecting sample's units and selections.
+def _edited_ids(plan, batch, slots, word_level, drops, counts, selected, keeps):
+    """The ids each view reads from a batch of samples, given the edit and the selections of each picking sample.
 
     A token reader's ids are one gather of the planned ids, [MASK]'s id written
     at masked positions and dropped positions left out. An entity reader gets
@@ -191,16 +144,21 @@ def _edited_ids(plan, batch, walked, selected, keeps):
     when the edit touches a span, or could complete or join an entity
     (`Plan.rescans`); otherwise the recount is that of the planning scan.
     """
-    slots, drops, firsts, counts = (np.array(c, dtype=np.intp) for c in (list(zip(*walked))[:4] or ((),) * 4))
     idx = np.array(batch, dtype=np.intp)
     sizes = plan.first[idx + 1] - plan.first[idx]
     first = np.cumsum(sizes) - sizes  # the batch's tokens, sample after sample
-    owner = np.repeat(np.arange(len(slots)), counts)[selected]  # the sample of each selected unit
-    unit = _runs(firsts, counts)[selected]
-    length = plan.unit_length[unit]
-    shift = (first[slots] - plan.first[idx[slots]])[owner]  # from plan to batch token positions
+    owner = np.repeat(np.arange(len(slots)), counts)  # the sample of each selection draw
+    offset = (np.arange(len(owner)) - (np.cumsum(counts) - counts)[owner])[selected]
+    owner = owner[selected]
+    # a selected word is the token at its draw's offset; a selected span covers the tokens of its span
+    start, length = first[slots][owner] + offset, np.ones(len(owner), dtype=np.intp)
+    spans = np.flatnonzero(~word_level[owner])
+    slot = slots[owner[spans]]
+    unit = plan.first_span[idx[slot]] + offset[spans]
+    start[spans] = plan.span_start[unit] - plan.first[idx[slot]] + first[slot]
+    length[spans] = plan.span_length[unit]
     edit = np.zeros(int(sizes.sum()), dtype=np.int8)  # per token: 0 kept, 1 masked, 2 dropped
-    edit[_runs(plan.unit_start[unit] + shift, length)] = np.repeat(1 + drops[owner], length)
+    edit[_runs(start, length)] = np.repeat(1 + drops[owner], length)
     at = _runs(plan.first[idx], sizes)
     picked = np.add.reduceat(edit > 0, first)
     drop = np.zeros(len(batch), dtype=bool)

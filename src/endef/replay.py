@@ -21,12 +21,11 @@ class Draws:
     integer draw, which `random()` never touches. A range of 1 draws nothing,
     and a range of 2 takes a half-word's top bit and never rejects.
 
-    The words sit in a window, a NumPy array and a read position. `window`
-    hands a caller the unread words, and `seek` moves past the draws it read
-    itself or back to where one draw must be redone by a scalar call.
-    `blocks` draws the content pairs of a whole block of pieces in one NumPy
-    pass; a piece whose pass meets a rejection is drawn again by the scalar
-    calls.
+    The words sit in a window, a NumPy array and a read position. `blocks`
+    draws the content pairs of a whole block of pieces in one NumPy pass; a
+    piece whose pass meets a rejection is drawn again by the scalar calls.
+    `selections` draws a batch of samples' picks and selection runs, the
+    runs in one NumPy pass.
     """
 
     __slots__ = ("_bits", "_words", "_pos", "_half")
@@ -49,19 +48,6 @@ class Draws:
             self._fill(pos + 1)
         self._pos = pos + 1
         return self._words.item(pos)
-
-    def window(self, count):
-        """(words, half): at least `count` unread words, the next one first, and the buffered half-word or None.
-
-        The read position is then 0; a caller that reads the words itself `seek`s past what it read.
-        """
-        self._words, self._pos = self._words[self._pos :], 0
-        self._fill(count)
-        return self._words, self._half
-
-    def seek(self, pos, half):
-        """Move the read position to word `pos` of the window, with `half` as the buffered half-word."""
-        self._pos, self._half = pos, half
 
     def random(self):
         return (self._word() >> 11) * DOUBLE_UNIT
@@ -160,3 +146,81 @@ class Draws:
                 yield [walk(done, draw)], np.array(flags, dtype=bool), np.array(picks, dtype=np.intp)
                 done += 1
             self._words, self._pos = self._words[self._pos :], 0
+
+    def selections(self, keys, gate, ranges, options, chance):
+        """The picks and selection runs of a batch of samples, each drawn in turn as by the scalar calls.
+
+        Sample k, of key `keys[k]`, is skipped when `gate` is not None and `random() >= gate`. Otherwise it draws
+        `integers(0, r)` for each r in `ranges`, read as one mixed-radix pick c (the first draw most significant);
+        with `(counts, tails) = options[c]` it then draws n = `counts[key]` doubles and selects those below
+        `chance`. When it selects all n > 0 of them and `tails` is not None, it ends with `integers(0, tails[key])`.
+        Returns (places, picks, counts, selected, drawn): k, c and n of each sample that picked, in order; their
+        selections, flat and in order; {k: the last integer} of each sample that drew one from a range above 1.
+
+        One Python step per sample reads its gate and picks and steps over its doubles by arithmetic: a double is
+        a word, which leaves the buffered half-word alone. One NumPy pass then reads the doubles of all. The last
+        integer depends on the doubles before it, so the pass ends at the first sample that draws one; that
+        integer is drawn by the scalar call and the walk goes on from the next sample.
+        """
+        # random() < p is a word's top 53 bits < p * 2**53, exactly: random() scales them by 2**-53
+        gate = None if gate is None else gate / DOUBLE_UNIT
+        below = chance / DOUBLE_UNIT
+        ranges = [r for r in ranges if r > 1]  # integers(0, 1) draws nothing
+        need = 1 + len(ranges)  # the words a gate and its picks read when none rejects
+        passes, drawn = [], {}
+        start = 0
+        while start < len(keys):
+            self._words, self._pos = self._words[self._pos :], 0
+            self._fill(need * (len(keys) - start))
+            words, pos, half = self._words, 0, self._half
+            walked = []  # (k, c, n, first double, buffered half, range of the last integer)
+            for k in range(start, len(keys)):
+                if pos + need > len(words):
+                    self._fill(pos + need)
+                    words = self._words
+                if gate is not None:
+                    pos += 1
+                    if words.item(pos - 1) >> 11 >= gate:
+                        continue
+                c = 0
+                for r in ranges:
+                    if r > 2:  # a range above 2 can reject: the scalar call draws it
+                        self._pos, self._half = pos, half
+                        c = c * r + self.integers(0, r)
+                        self._fill(self._pos + need)
+                        words, pos, half = self._words, self._pos, self._half
+                    elif half is None:  # integers(0, 2) is a half-word's top bit
+                        raw = words.item(pos)
+                        pos += 1
+                        c, half = c << 1 | (raw >> 31) & 1, raw >> 32
+                    else:
+                        c, half = c << 1 | half >> 31, None
+                counts, tails = options[c]
+                key = keys[k]
+                n = counts[key]
+                walked.append((k, c, n, pos, half, 0 if tails is None else tails[key]))
+                pos += n
+            start, last = len(keys), None
+            if walked:
+                self._fill(pos)
+                columns = list(zip(*walked))
+                place, pick, n, first, tail = (np.array(columns[i], dtype=np.intp) for i in (0, 1, 2, 3, 5))
+                ends = n.cumsum()
+                chosen = (self._words[np.repeat(first - ends + n, n) + np.arange(ends[-1])] >> 11) < below
+                if tail.max() > 1:
+                    hits = np.concatenate(([0], chosen.cumsum()))
+                    (full,) = np.nonzero((hits[ends] - hits[ends - n] == n) & (n > 0) & (tail > 1))
+                    if len(full):  # end the pass after the first sample that draws its last integer
+                        j = int(full[0])
+                        last, _, _, pos, half, tail = walked[j]
+                        start, pos = last + 1, pos + int(n[j])
+                        place, pick, n, chosen = place[: j + 1], pick[: j + 1], n[: j + 1], chosen[: ends[j]]
+                passes.append((place, pick, n, chosen))
+            self._pos, self._half = pos, half
+            if last is not None:
+                drawn[last] = self.integers(0, tail)
+        if len(passes) == 1:
+            return (*passes[0], drawn)
+        if not passes:
+            return (np.zeros(0, dtype=np.intp),) * 3 + (np.zeros(0, dtype=bool), drawn)
+        return (*(np.concatenate(column) for column in zip(*passes)), drawn)

@@ -317,22 +317,74 @@ def test_draws_replay_what_the_generator_draws(seed):
             assert lo <= drawn < hi
 
 
+def reference_selections(rng, keys, gate, ranges, options, chance):
+    """`Draws.selections` as the scalar `Generator` calls it replays, one sample after another."""
+    picked, selected, drawn = [], [], {}
+    for k, key in enumerate(keys):
+        if gate is not None and rng.random() >= gate:
+            continue
+        c = 0
+        for r in ranges:
+            c = c * r + int(rng.integers(r))
+        counts, tails = options[c]
+        chosen = (rng.random(counts[key]) < chance).tolist()
+        picked.append((k, c, counts[key]))
+        selected += chosen
+        if tails is not None and chosen and all(chosen):
+            last = int(rng.integers(tails[key]))
+            if tails[key] > 1:
+                drawn[k] = last
+    return picked, selected, drawn
+
+
+def selections_of(draws, *args):
+    places, picks, counts, selected, drawn = draws.selections(*args)
+    return list(zip(places.tolist(), picks.tolist(), counts.tolist())), selected.tolist(), drawn
+
+
+class EveryPick:
+    """Options for picks too many to list: pick c reads the counts and tails of option c % 3."""
+
+    def __init__(self, options):
+        self.options = options
+
+    def __getitem__(self, c):
+        return self.options[c % len(self.options)]
+
+
 @pytest.mark.parametrize("seed", [0, 3])
 def test_draws_from_a_seed_sequence_replay_augmentation_calls(seed):
-    # training's augmentation stream: a spawned SeedSequence, drawn as augmentation draws from a Generator;
-    # `random(n)` is read from the window, as a batch reads its selection draws, then stepped over with `seek`
+    # training's augmentation stream: a spawned SeedSequence, drawn as augmentation draws from a Generator,
+    # a batch at a time by `selections` and a call at a time in between
     ss = np.random.SeedSequence(seed).spawn(2)[1]
     ours, theirs, script = Draws(ss), np.random.default_rng(ss), np.random.default_rng(seed + 1)
-    for op, k in zip(script.integers(0, 5, size=20_000).tolist(), script.integers(2, 40, size=20_000).tolist()):
+    counts = script.integers(0, 30, size=50).tolist()
+    options = [(counts, None), (counts, [max(1, n) for n in counts]), ([1] * 50, [2] * 50), (counts, [1] * 50)]
+    for op, k in zip(script.integers(0, 5, size=4_000).tolist(), script.integers(2, 40, size=4_000).tolist()):
         if op == 0:
             assert ours.random() == theirs.random()
         elif op == 1:
-            words, half = ours.window(k)
-            assert ((words[:k] >> 11) * DOUBLE_UNIT).tolist() == theirs.random(k).tolist()
-            ours.seek(k, half)
+            keys = script.integers(0, 50, size=k % 9).tolist()
+            gate, chance = (None, 0.3, 1.0)[k % 3], (0.0, 0.5, 0.95, 1.0)[k % 4]
+            args = keys, gate, ((1, 2, 2), (2, 2), (2,))[k % 3], options, chance
+            assert selections_of(ours, *args) == reference_selections(theirs, *args)
         else:
             hi = (1, 2, k)[op - 2]
             assert ours.integers(0, hi) == theirs.integers(hi)
+    assert ours.random() == theirs.random() and ours.integers(0, 3) == theirs.integers(3)
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_selections_replay_picks_that_can_reject(seed):
+    # ranges above 2 reject a half-word now and then: 3e9 one in 3.3, 2**31 + 1 one in 2.0
+    ours, theirs, script = Draws(seed), np.random.default_rng(seed), np.random.default_rng(seed + 1)
+    counts = script.integers(0, 6, size=40).tolist()
+    options = EveryPick([(counts, None), (counts, [3] * 40), ([2] * 40, [7] * 40)])
+    for ranges in ((3, 2), (2, 3_000_000_000), (2**31 + 1, 1, 2, 5), (3, 3, 3)):
+        for gate, chance in ((None, 0.5), (0.6, 0.9), (0.9, 1.0)):
+            keys = script.integers(0, 40, size=60).tolist()
+            args = keys, gate, ranges, options, chance
+            assert selections_of(ours, *args) == reference_selections(theirs, *args)
     assert ours.random() == theirs.random() and ours.integers(0, 3) == theirs.integers(3)
 
 
