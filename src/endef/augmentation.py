@@ -4,12 +4,13 @@ A `Plan` scans each truncated training piece once per run and keeps, as
 run-level arrays, the ids every view reads from it and its entity spans.
 `augment` edits a batch of the plan's pieces with the draws the per-sample
 rule below makes from `np.random.default_rng`, replayed by `replay.Draws`,
-and returns the ids each view reads from each sample. Every scan is
-`recognizer.Gazetteer.spans` over a gazetteer of the piece's in-text entities,
-so a recount names the spelling recognition would.
+and returns the ids each view reads from the batch as one flat array and
+the bounds of each sample's ids. Every scan is `recognizer.Gazetteer.spans`
+over a gazetteer of the piece's in-text entities, so a recount names the
+spelling recognition would.
 """
 
-from itertools import product
+from itertools import accumulate, product
 
 import numpy as np
 
@@ -41,10 +42,6 @@ def recompute_entities(piece, new_tokens):
     return tuple(e for _, _, e in scanner.spans(tuple(new_tokens))) + external
 
 
-def _views(flat, bounds):
-    return [flat[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
-
-
 def _runs(starts, lengths):
     """The positions start, ..., start + length - 1 of every run, flat and in order."""
     ends = np.cumsum(lengths)
@@ -56,18 +53,18 @@ class Plan:
 
     `planned` maps each view an encoder reads (`tokens` or `entities`) to
     (vocabulary, flat ids, bounds), the ids of piece r being
-    flat[bounds[r]:bounds[r + 1]] (`framework.planned_ids`). Training pieces
-    are cut to max_len before they are planned, so token ids line up with
-    tokens. Token positions are counted over all pieces end to end; the
-    spans of piece i are spans first_span[i], first_span[i] + 1, ...
+    flat[bounds[r]:bounds[r + 1]] (`framework.planned_ids`); `ids` keeps the
+    (flat ids, bounds) pair of each view. Training pieces are cut to max_len
+    before they are planned, so token ids line up with tokens. Token
+    positions are counted over all pieces end to end; the spans of piece i
+    are spans first_span[i], first_span[i] + 1, ...
     """
 
     def __init__(self, pieces, planned, max_len):
         self.pieces = pieces
         self.max_len = max_len
         self.vocabs = {view: vocab for view, (vocab, _, _) in planned.items()}
-        self.flat = {view: flat for view, (_, flat, _) in planned.items()}
-        self.views = {view: _views(flat, bounds) for view, (_, flat, bounds) in planned.items()}
+        self.ids = {view: (flat, bounds) for view, (_, flat, bounds) in planned.items()}
         ntok = [len(p.tokens) for p in pieces]
         self.first = np.concatenate(([0], np.cumsum(ntok, dtype=np.intp)))
         scanners = {}
@@ -96,20 +93,18 @@ class Plan:
         # with [MASK] in its words, or dropping can join the words of a multi-word entity
         self.rescans = np.array(rescans, dtype=bool).reshape(-1, 2)
         if "entities" in planned:
-            # what an entity reader gets from such an edit: its planning scan, not the piece's own entity order
-            encode, views = self.vocabs["entities"].encode_entities, self.views["entities"]
-            self.unscanned = [
-                ids if found == piece.entities else encode(found, max_len)
-                for piece, found, ids in zip(pieces, names, views)
-            ]
+            # what an entity reader gets from such an edit where its planning scan lists entities in another order
+            encode = self.vocabs["entities"].encode_entities
+            self.scan_order = {i: encode(names[i], max_len) for i, p in enumerate(pieces) if names[i] != p.entities}
 
 
 def augment(plan, batch, settings, draws):
     """The ids each view of `plan` reads from each sample of a batch of its pieces, augmented under `settings`.
 
-    `batch` holds piece indices; returns {view: [ids of each sample]}. Each
-    sample is augmented by the per-sample rule below, drawing from the
-    `Generator` stream that `draws` replays. Nothing is drawn when
+    `batch` holds piece indices; returns {view: (flat, bounds)}, the ids of
+    sample k being flat[bounds[k]:bounds[k + 1]]. Each sample is augmented
+    by the per-sample rule below, drawing from the `Generator` stream that
+    `draws` replays. Nothing is drawn, and nothing edited, when
     augmentation is disabled. Otherwise the sample is skipped with chance
     1 - apply_probability (one `random()`, made only when that chance is
     positive), then one kind and one action are picked uniformly from the
@@ -124,19 +119,18 @@ def augment(plan, batch, settings, draws):
     applied to the batch in NumPy.
     """
     batch = batch.tolist()
-    if not settings.enabled:
-        return {view: [views[i] for i in batch] for view, views in plan.views.items()}
     choices = list(product([kind == "word_level" for kind in settings.kinds], [a == "drop" for a in settings.actions]))
     gate = settings.apply_probability if settings.apply_probability < 1.0 else None
     ranges = (len(settings.kinds), len(settings.actions))
     options = [plan.options[choice] for choice in choices]
-    slots, picks, counts, selected, keeps = draws.selections(batch, gate, ranges, options, settings.probability)
+    keys = batch if settings.enabled else []  # disabled: no sample draws, so none picks
+    slots, picks, counts, selected, keeps = draws.selections(keys, gate, ranges, options, settings.probability)
     word_level, drops = np.array(choices, dtype=bool).reshape(-1, 2)[picks].T
     return _edited_ids(plan, batch, slots, word_level, drops, counts, selected, keeps)
 
 
 def _edited_ids(plan, batch, slots, word_level, drops, counts, selected, keeps):
-    """The ids each view reads from a batch of samples, given the edit and the selections of each picking sample.
+    """The (flat, bounds) ids each view reads from a batch, given the edit and the selections of each picking sample.
 
     A token reader's ids are one gather of the planned ids, [MASK]'s id written
     at masked positions and dropped positions left out. An entity reader gets
@@ -166,22 +160,23 @@ def _edited_ids(plan, batch, slots, word_level, drops, counts, selected, keeps):
     for k in np.flatnonzero(drop & (picked == sizes)).tolist():  # a drop that selected every token keeps one
         edit[first[k] + keeps.get(k, 0)] = 0
     out = {}
-    if "tokens" in plan.flat:
-        ids = plan.flat["tokens"][at]
+    if "tokens" in plan.ids:
+        ids = plan.ids["tokens"][0][at]
         ids[edit == 1] = plan.vocabs["tokens"].mask_id
         kept = edit < 2
-        out["tokens"] = _views(ids[kept], [0, *np.cumsum(np.add.reduceat(kept, first)).tolist()])
-    if "entities" in plan.flat:
-        planned, unscanned, encode = plan.views["entities"], plan.unscanned, plan.vocabs["entities"].encode_entities
+        out["tokens"] = ids[kept], np.concatenate(([0], np.cumsum(np.add.reduceat(kept, first))))
+    if "entities" in plan.ids:
+        (flat, planned), encode = plan.ids["entities"], plan.vocabs["entities"].encode_entities
         touched = np.add.reduceat((edit > 0) & plan.in_span[at], first) > 0
         rescan = np.flatnonzero(touched | (picked > 0) & plan.rescans[idx, drop.view(np.int8)]).tolist()
-        ids = [unscanned[i] if n else planned[i] for i, n in zip(batch, picked.tolist())]
+        own = [flat[planned[i] : planned[i + 1]] for i in batch]
+        ids = [plan.scan_order.get(i, ids) if n else ids for i, n, ids in zip(batch, picked.tolist(), own)]
         bounds, edit = np.append(first, len(at)).tolist(), edit.tolist()
         for k in rescan:
             i, piece = batch[k], plan.pieces[batch[k]]
             edited = zip(piece.tokens, edit[bounds[k] : bounds[k + 1]])
             tokens = tuple(MASK_TOKEN if e == 1 else t for t, e in edited if e < 2)
             entities = tuple(e for _, _, e in plan.scanners[i].spans(tokens)) + plan.externals[i]
-            ids[k] = planned[i] if entities == piece.entities else encode(entities, plan.max_len)
-        out["entities"] = ids
+            ids[k] = own[k] if entities == piece.entities else encode(entities, plan.max_len)
+        out["entities"] = np.concatenate(ids), [0, *accumulate(map(len, ids))]
     return out

@@ -9,7 +9,7 @@ learned from historical data cannot steer predictions on future data.
 
 import json
 from dataclasses import dataclass, replace
-from itertools import accumulate, islice
+from itertools import accumulate
 from pathlib import Path
 from typing import NamedTuple
 
@@ -112,9 +112,10 @@ def planned_ids(encoder, pieces, max_len):
 def loss_total(model, ids, labels, stop_grad_entity_from_overall=False):
     """Mean fused loss plus beta times mean entity loss, with gradients for every branch.
 
-    `ids` maps each name of `branches(model)` to the ids that branch reads
-    from each sample (training asks each sample for its `ids`); `labels`
-    holds each sample's label. Returns (loss, grads), grads keyed like
+    `ids` maps each name of `branches(model)` to the (flat, bounds) pair of
+    the ids that branch reads from each sample, sample k's being
+    flat[bounds[k]:bounds[k + 1]] (`augmentation.augment` or `planned_ids`);
+    `labels` holds each sample's label. Returns (loss, grads), grads keyed like
     `ids`, each branch's `models.SparseGrad` as its backward pass gives it.
     The fused term backpropagates into both branches (the fusion couples
     them); the auxiliary entity term touches only the entity branch. With
@@ -126,7 +127,7 @@ def loss_total(model, ids, labels, stop_grad_entity_from_overall=False):
     if len(labels) == 0:
         raise ModelError("loss_total needs a non-empty batch")
     encoders = branches(model)
-    passes = {name: enc._forward_cache(ids[name]) for name, enc in encoders.items()}
+    passes = {name: enc._forward_cache(*ids[name]) for name, enc in encoders.items()}
     alpha, beta = (model.alpha, model.beta) if "entity" in encoders else (1.0, 0.0)
     r_det = passes["detector"][0]
     r_ent = passes["entity"][0] if "entity" in encoders else np.zeros_like(r_det)
@@ -151,21 +152,19 @@ def loss_total(model, ids, labels, stop_grad_entity_from_overall=False):
     return loss, grads
 
 
-def encoded_logits(encoder, ids):
-    """The raw logit of one encoder for each id sequence of an iterable, in order, as a float64 array.
+def encoded_logits(encoder, flat, bounds):
+    """The raw logit of one encoder for each sequence flat[bounds[k]:bounds[k + 1]], in order, as a float64 array.
 
     Sequences are scored in fixed chunks of SCORE_CHUNK, so a piece's logit
-    does not depend on which caller scores the corpus, nor on whether its
-    ids were encoded in advance.
+    does not depend on which caller scores the corpus.
     """
-    ids = iter(ids)
-    chunks = iter(lambda: list(islice(ids, SCORE_CHUNK)), [])
-    return np.concatenate([np.zeros(0), *(encoder._forward_cache(chunk)[0] for chunk in chunks)])
+    chunks = (bounds[k : k + SCORE_CHUNK + 1] for k in range(0, len(bounds) - 1, SCORE_CHUNK))
+    return np.concatenate([np.zeros(0), *(encoder._forward_cache(flat, chunk)[0] for chunk in chunks)])
 
 
 def logits(encoder, pieces, max_len=MAX_SEQ_LEN):
     """The raw logit of one encoder for every piece, read from the encoder's view, in corpus order."""
-    return encoded_logits(encoder, (input_ids(encoder, p, max_len) for p in pieces))
+    return encoded_logits(encoder, *planned_ids(encoder, pieces, max_len))
 
 
 def score(model, pieces, max_len=MAX_SEQ_LEN, scale_by_alpha=False):

@@ -182,7 +182,7 @@ class ScalarModel:
 
     def forward(self, token_ids):
         """Scalar logit for one encoded sequence (pure function of params and input)."""
-        return float(self._forward_cache([token_ids])[0][0])
+        return float(self._forward_cache(token_ids, [0, len(token_ids)])[0][0])
 
     def _conv_preactivations(self, X, w):
         """(B, L-w+1, F) window pre-activations: the bias plus one (F, d) weight slice per window offset."""
@@ -195,19 +195,18 @@ class ScalarModel:
         Z += self.layout.view(self.params, f"conv{w}_b")
         return Z
 
-    def _forward_cache(self, batch_ids):
-        """Logits of a batch of encoded sequences, padded to (B, L) behind a length mask."""
-        seqs = [np.asarray(ids, dtype=np.intp).ravel() for ids in batch_ids]
-        if not seqs:
+    def _forward_cache(self, flat, bounds):
+        """Logits of a batch of sequences, the k-th flat[bounds[k]:bounds[k + 1]], padded to (B, L) behind a length mask."""
+        sizes = np.diff(bounds)
+        if not sizes.size:
             raise ModelError("cannot run the encoder on an empty batch")
-        sizes = np.array([s.size for s in seqs])
         if not sizes.all():
             raise ModelError("cannot run the encoder on an empty token sequence")
         # a conv document shorter than its widest window reads [PAD] as real input
         lengths = np.maximum(sizes, max(self.spec.window_sizes)) if self.spec.kind == CONV_NGRAM else sizes
         columns = np.arange(lengths.max())
         padded = np.full((sizes.size, columns.size), self.vocab.pad_id, dtype=np.intp)
-        padded[columns < sizes[:, None]] = np.concatenate(seqs)
+        padded[columns < sizes[:, None]] = flat[bounds[0] : bounds[-1]]
         padded[(padded < 0) | (padded >= self.vocab.size)] = self.vocab.unk_id
         mask = columns < lengths[:, None]
         ids = padded[mask]

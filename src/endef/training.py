@@ -20,7 +20,6 @@ from .framework import (
     DEFAULT_BETA,
     branches,
     encoded_logits,
-    input_ids,
     loss_total,
     make_endef_model,
     planned_ids,
@@ -150,8 +149,7 @@ def train(model, split, cfg):
     planned = {enc.reads: (enc.vocab, *planned_ids(enc, pieces, cfg.max_len)) for enc in encoders.values()}
     plan = aug.Plan(pieces, planned, cfg.max_len)
     labels = labels_of(pieces)
-    # one small array per validation piece: a flat one raised score-new-period's peak RSS by 14 MB
-    val_ids = [input_ids(encoders["detector"], p, cfg.max_len) for p in split.validation]
+    val_ids = planned_ids(encoders["detector"], split.validation, cfg.max_len)
     val_labels = labels_of(split.validation)
     n = len(pieces)
     best_metric = -math.inf
@@ -175,7 +173,7 @@ def train(model, split, cfg):
             for name, enc in encoders.items():
                 enc.params = adam_step(enc.params, grads[name], opts[name], cfg.lr, step)
             loss_sum += loss * len(batch_idx)
-        val_scores = sigmoid(encoded_logits(encoders["detector"], val_ids))
+        val_scores = sigmoid(encoded_logits(encoders["detector"], *val_ids))
         val_macf1 = f1_scores(PredictionSet(val_scores, val_labels)).macf1
         improved = val_macf1 > best_metric
         history.append(

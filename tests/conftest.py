@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -37,9 +38,15 @@ def recognized_audit(corpus, spec):
     return entity_bias_table(recognized, spec.period_boundary)
 
 
+def packed(seqs):
+    """Id sequences as one id batch: (flat, bounds), sequence k being flat[bounds[k]:bounds[k + 1]]."""
+    flat = np.concatenate([np.zeros(0, dtype=np.intp), *(np.asarray(s, dtype=np.intp) for s in seqs)])
+    return flat, [0, *accumulate(map(len, seqs))]
+
+
 def piece_loss(model, pieces, max_len=MAX_SEQ_LEN, stop_grad_entity_from_overall=False):
     """`loss_total` of a batch of pieces, each branch reading `input_ids` of every piece."""
-    ids = {name: [input_ids(enc, p, max_len) for p in pieces] for name, enc in branches(model).items()}
+    ids = {name: packed([input_ids(enc, p, max_len) for p in pieces]) for name, enc in branches(model).items()}
     return loss_total(model, ids, [p.label for p in pieces], stop_grad_entity_from_overall)
 
 
@@ -65,7 +72,7 @@ def reference_loss_total(model, ids, labels, stop_grad_entity_from_overall=False
     if len(labels) == 0:
         raise ModelError("loss_total needs a non-empty batch")
     encoders = branches(model)
-    passes = {name: enc._forward_cache(ids[name]) for name, enc in encoders.items()}
+    passes = {name: enc._forward_cache(*ids[name]) for name, enc in encoders.items()}
     alpha, beta = (model.alpha, model.beta) if "entity" in encoders else (1.0, 0.0)
     r_det = passes["detector"][0].tolist()
     r_ent = passes["entity"][0].tolist() if "entity" in encoders else None
@@ -141,7 +148,7 @@ def dense_grad(grad, encoder):
 
 def backward(model, token_ids, upstream_grad):
     """d(logit)/d(params) of one encoded sequence scaled by upstream_grad, as a flat vector."""
-    _, cache = model._forward_cache([token_ids])
+    _, cache = model._forward_cache(*packed([token_ids]))
     return dense_grad(model._backward_from_cache(cache, [upstream_grad]), model)
 
 
@@ -161,7 +168,7 @@ def relu_safety_margin(model, ids):
     value stays pinned at zero under small perturbations), so its margin is
     the distance of the least-negative position from zero.
     """
-    _, cache = model._forward_cache([ids])
+    _, cache = model._forward_cache(*packed([ids]))
     margins = [float(np.min(np.abs(cache["z1"])))]
     if model.spec.kind == CONV_NGRAM:
         for w in model.spec.window_sizes:
@@ -307,7 +314,7 @@ def make_plan(pieces, max_len=MAX_SEQ_LEN):
 def batch_ids(plan, batch, settings, draws):
     """`augmentation.augment` of a batch of plan indices, as one {view: id list} per sample."""
     out = augment(plan, np.asarray(batch), settings, draws)
-    return [{view: ids[k].tolist() for view, ids in out.items()} for k in range(len(batch))]
+    return [{view: flat[b[k] : b[k + 1]].tolist() for view, (flat, b) in out.items()} for k in range(len(batch))]
 
 
 def shown(sample):

@@ -39,6 +39,12 @@ def only(kind, action, probability):
     return AugmentSettings(probability=probability, kinds=(kind,), actions=(action,))
 
 
+def planned(plan, view, r=0):
+    """The ids the plan holds for piece r's view."""
+    flat, bounds = plan.ids[view]
+    return flat[bounds[r] : bounds[r + 1]]
+
+
 def words_of(ids, plan):
     """The tokens a token reader's ids stand for."""
     return tuple(plan.vocabs["tokens"].tokens[j] for j in ids)
@@ -61,9 +67,9 @@ def test_p_zero_is_identity():
     draws = Draws(0)
     for kind in AUGMENT_KINDS:
         for action in AUGMENT_ACTIONS:
-            out = augment(plan, np.array([0]), only(kind, action, 0.0), draws)
-            assert out["tokens"][0].tolist() == plan.views["tokens"][0].tolist()
-            assert out["entities"][0] is plan.views["entities"][0] and plan.pieces[0] is piece
+            (out,) = batch_ids(plan, [0], only(kind, action, 0.0), draws)
+            assert out["tokens"] == planned(plan, "tokens").tolist()
+            assert out["entities"] == planned(plan, "entities").tolist() and plan.pieces[0] is piece
             assert augment_record(record, only(kind, action, 0.0), np.random.default_rng(0)) is record
 
 
@@ -110,7 +116,7 @@ def test_entity_level_hits_whole_span():
     (out,) = batch_ids(plan, [0], only("entity_level", "mask", 1.0), Draws(0))
     assert words_of(out["tokens"], plan) == (MASK_TOKEN, MASK_TOKEN, "is", "big")
     assert out["entities"] == [encoders["entities"].vocab.pad_id]  # the masked span no longer matches
-    assert plan.views["entities"][0].tolist() == encoders["entities"].vocab.encode_entities(piece.entities).tolist()
+    assert planned(plan, "entities").tolist() == encoders["entities"].vocab.encode_entities(piece.entities).tolist()
 
 
 def test_entity_level_drop_removes_span_and_recomputes():
@@ -135,11 +141,11 @@ def test_label_and_id_never_change():
 def test_external_entities_survive_editing():
     piece = make_piece("a", ("x", "y"), ("external one",), 0, 0)
     (record,), _, plan = make_plan([piece])
-    out = augment(plan, np.array([0]), only("word_level", "drop", 1.0), Draws(0))
-    assert len(out["tokens"][0]) == 1
+    (out,) = batch_ids(plan, [0], only("word_level", "drop", 1.0), Draws(0))
+    assert len(out["tokens"]) == 1
     assert "external one" in shown(augment_record(record, only("word_level", "drop", 1.0), np.random.default_rng(0)))[3]
     # the entity list did not change, so an entity reader gets the planned ids themselves
-    assert out["entities"][0] is plan.views["entities"][0]
+    assert out["entities"] == planned(plan, "entities").tolist()
 
 
 def test_entity_spans_longest_leftmost():
@@ -415,4 +421,4 @@ def test_a_drop_that_misses_every_span_still_rescans_a_multi_word_entity():
     (got,) = batch_ids(plan, [0], settings, Draws(seed))
     vocab = encoders["entities"].vocab
     assert shown(out)[2:] == (("b", "c", "a", "b", "c"), ("b c", "b c"))
-    assert got["entities"] == vocab.encode_entities(("b c", "b c")).tolist() != plan.views["entities"][0].tolist()
+    assert got["entities"] == vocab.encode_entities(("b c", "b c")).tolist() != planned(plan, "entities").tolist()

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from endef.framework import (
+    SCORE_CHUNK,
     EndefModel,
     branches,
     case_report,
@@ -24,6 +25,7 @@ from endef.models import (
     BAG_OF_EMBEDDINGS,
     CONV_NGRAM,
     MAX_SEQ_LEN,
+    EncoderSpec,
     ModelError,
     ScalarModel,
     binary_cross_entropy,
@@ -36,6 +38,7 @@ from conftest import (
     finite_difference,
     make_piece,
     max_relative_error,
+    packed,
     piece_loss,
     reference_cross_entropy,
     reference_loss_total,
@@ -160,9 +163,9 @@ def test_loss_total_empty_batch_rejected():
 
 
 def random_ids(rng, model, n):
-    """Random id sequences, 1-6 long, for every branch of a model; out-of-range ids read as [UNK]."""
+    """Random id sequences, 1-6 long, as an id batch for every branch of a model; out-of-range ids read as [UNK]."""
     return {
-        name: [rng.integers(-1, enc.vocab.size + 1, size=int(rng.integers(1, 7))) for _ in range(n)]
+        name: packed([rng.integers(-1, enc.vocab.size + 1, size=int(rng.integers(1, 7))) for _ in range(n)])
         for name, enc in branches(model).items()
     }
 
@@ -210,7 +213,7 @@ def test_loss_total_names_the_first_non_finite_sample():
         # only s3 reads w6, and it reads w6 in both views
         for enc in branches(model).values():
             enc.layout.view(enc.params, "embed")[vocab.encode_tokens(("w6",), 1)[0]] = math.nan
-        ids = {name: [input_ids(enc, p, MAX_SEQ_LEN) for p in pieces] for name, enc in branches(model).items()}
+        ids = {name: packed([input_ids(enc, p, MAX_SEQ_LEN) for p in pieces]) for name, enc in branches(model).items()}
         for objective in (loss_total, reference_loss_total):
             with pytest.raises(ModelError, match="^non-finite loss on sample 3 of the batch$"):
                 objective(model, ids, labels)
@@ -289,12 +292,30 @@ def test_debiased_predict_independent_of_entity_params():
     assert before == after_random == after_zero
 
 
+def test_logits_score_fixed_chunks_of_64_pieces():
+    # a logit shifts in its last bits with its batch-mates, so the byte-identical reports of a rerun and of
+    # `evaluate` on a checkpoint rest on every caller scoring pieces 0-63, 64-127, ... together
+    rng = np.random.default_rng(11)
+    vocab = tiny_vocab()
+    pieces = []
+    for i in range(2 * SCORE_CHUNK + 5):
+        tokens = [f"w{j}" for j in rng.integers(0, 8, size=int(rng.integers(1, 40)))]
+        pieces.append(make_piece(f"p{i}", tokens, sorted(set(tokens))[: int(rng.integers(0, 3))]))
+    assert SCORE_CHUNK == 64
+    for spec in (EncoderSpec(BAG_OF_EMBEDDINGS, embed_dim=24, hidden_dim=40), EncoderSpec(CONV_NGRAM, embed_dim=8)):
+        for reads in ("tokens", "entities"):
+            encoder = ScalarModel(spec, vocab, seed=2, reads=reads)
+            chunks = (pieces[k : k + 64] for k in range(0, len(pieces), 64))
+            expect = [encoder._forward_cache(*packed([input_ids(encoder, p, 30) for p in chunk]))[0] for chunk in chunks]
+            assert logits(encoder, pieces, 30).tobytes() == np.concatenate(expect).tobytes()
+
+
 def test_score_never_evaluates_the_entity_branch(monkeypatch):
     model = small_model(seed=19)
     pieces = sample_batch()
     expect = score(model, pieces)
 
-    def refuse(ids):
+    def refuse(*ids):
         raise AssertionError("the entity branch was evaluated")
 
     monkeypatch.setattr(model.entity_model, "forward", refuse)

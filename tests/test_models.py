@@ -25,6 +25,7 @@ from conftest import (
     dense_grad,
     finite_difference,
     max_relative_error,
+    packed,
     reference_cross_entropy,
     reference_sigmoid,
     relu_safety_margin,
@@ -75,9 +76,9 @@ def test_empty_sequence_rejected():
     for spec in REFERENCE_SPECS:
         model = ScalarModel(spec, REFERENCE_VOCAB)
         with pytest.raises(ModelError, match="empty token sequence"):
-            model._forward_cache([[4, 5, 6], [], [7]])
+            model._forward_cache(np.array([4, 5, 6, 7]), [0, 3, 3, 4])
         with pytest.raises(ModelError, match="empty batch"):
-            model._forward_cache([])
+            model._forward_cache(np.zeros(0, dtype=np.intp), [0])
 
 
 def test_out_of_vocabulary_index_maps_to_unk():
@@ -95,8 +96,8 @@ def test_out_of_range_ids_in_a_batch_read_as_unk():
     for seed in range(3):
         for spec in REFERENCE_SPECS:
             model = ScalarModel(spec, vocab, seed=seed)
-            logits, cache = model._forward_cache(batch)
-            expect_logits, expect_cache = model._forward_cache(as_unk)
+            logits, cache = model._forward_cache(*packed(batch))
+            expect_logits, expect_cache = model._forward_cache(*packed(as_unk))
             assert np.array_equal(logits, expect_logits)
             grad = model._backward_from_cache(cache, upstream)
             expect = model._backward_from_cache(expect_cache, upstream)
@@ -300,7 +301,7 @@ def per_sample_reference(model, batch, upstream):
 
 
 def batched(model, batch, upstream):
-    logits, cache = model._forward_cache(batch)
+    logits, cache = model._forward_cache(*packed(batch))
     return logits, dense_grad(model._backward_from_cache(cache, upstream), model)
 
 
@@ -324,7 +325,7 @@ REFERENCE_SPECS = (
 
 
 def sparse_grad_bytes(model, batch):
-    _, cache = model._forward_cache(batch)
+    _, cache = model._forward_cache(*packed(batch))
     return sum(part.nbytes for part in model._backward_from_cache(cache, np.full(len(batch), 0.7)))
 
 
@@ -334,7 +335,7 @@ def test_batched_forward_matches_per_sample_reference():
     for seed in range(6):
         for spec in REFERENCE_SPECS:
             model = ScalarModel(spec, vocab, seed=seed)
-            logits, _ = model._forward_cache(batch)
+            logits, _ = model._forward_cache(*packed(batch))
             reference, _ = per_sample_reference(model, batch, np.zeros(len(batch)))
             np.testing.assert_allclose(logits, reference, rtol=BATCH_RTOL, atol=BATCH_ATOL)
             for ids, expect in zip(batch, reference):
@@ -375,8 +376,8 @@ def test_batch_padding_does_not_leak():
     for seed in range(4):
         for spec in REFERENCE_SPECS:
             model = ScalarModel(spec, vocab, seed=seed)
-            alone, _ = model._forward_cache(full)
-            with_longer, cache = model._forward_cache(full + [longer])
+            alone, _ = model._forward_cache(*packed(full))
+            with_longer, cache = model._forward_cache(*packed(full + [longer]))
             assert np.max(np.abs(with_longer[: len(full)] - alone)) <= 1e-12
             # no document reads [PAD], so batch padding must not give its row a gradient
             sparse = model._backward_from_cache(cache, rng.normal(size=len(full) + 1))

@@ -388,6 +388,32 @@ def test_selections_replay_picks_that_can_reject(seed):
     assert ours.random() == theirs.random() and ours.integers(0, 3) == theirs.integers(3)
 
 
+class WindowEnds(Draws):
+    """`Draws` that notes the window size whenever a pick above 2 reads up to its last word and buffers no half."""
+
+    __slots__ = ("ends",)
+
+    def integers(self, lo, hi):
+        drawn = super().integers(lo, hi)
+        if hi - lo > 2 and self._pos == len(self._words) and self._half is None:
+            self.ends.append(len(self._words))
+        return drawn
+
+
+def test_selections_refill_the_window_after_a_pick_that_ends_on_its_last_word():
+    # at seed 1685 the gated 3e9 pick of one sample rejects until it takes the high half of the window's last
+    # (4,096th) word, so the pick of 2 after it reads the first word of the next window
+    script = np.random.default_rng(1)
+    counts = script.integers(0, 10, size=40).tolist()
+    keys = script.integers(0, 40, size=1_000).tolist()
+    args = keys, 0.9, (3_000_000_000, 2), EveryPick([(counts, None)]), 0.5
+    ours, theirs = WindowEnds(1685), np.random.default_rng(1685)
+    ours.ends = []
+    assert selections_of(ours, *args) == reference_selections(theirs, *args)
+    assert ours.ends == [_RAW_CHUNK]
+    assert ours.random() == theirs.random() and ours.integers(0, 3) == theirs.integers(3)
+
+
 @pytest.mark.parametrize("lo, hi", [(5, 5), (3, 2), (0, 2**32 + 1), (10, 2**33)])
 def test_draws_reject_a_range_the_replay_cannot_serve(lo, hi):
     with pytest.raises(ValueError, match=rf"\[{lo}, {hi}\)"):

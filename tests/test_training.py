@@ -181,8 +181,14 @@ def test_augment_disabled_consumes_no_randomness():
     draws = Draws(4)
     _, _, plan = make_plan(split.train)
     for start in range(0, len(split.train), 32):
-        out = aug.augment(plan, np.arange(start, min(start + 32, len(split.train))), settings, draws)
-        assert all(ids is plan.views[view][start + k] for view in out for k, ids in enumerate(out[view]))
+        stop = min(start + 32, len(split.train))
+        out = aug.augment(plan, np.arange(start, stop), settings, draws)
+        assert out.keys() == plan.ids.keys()
+        for view, (flat, bounds) in out.items():
+            # every sample's ids are its planned slice
+            planned, planned_bounds = plan.ids[view]
+            assert np.array_equal(np.diff(bounds), np.diff(planned_bounds[start : stop + 1]))
+            assert np.array_equal(flat, planned[planned_bounds[start] : planned_bounds[stop]])
     # the replayer read no word: its next draws are a fresh Generator's first
     fresh = np.random.default_rng(4)
     assert draws.integers(0, 2) == fresh.integers(2) and draws.random() == fresh.random()
