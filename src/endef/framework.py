@@ -9,7 +9,7 @@ learned from historical data cannot steer predictions on future data.
 
 import json
 from dataclasses import dataclass, replace
-from itertools import accumulate
+from itertools import accumulate, chain
 from pathlib import Path
 from typing import NamedTuple
 
@@ -27,6 +27,7 @@ from .models import (
     sigmoid,
 )
 from .payload import check_type, require
+from .vocab import entity_words
 
 DEFAULT_ALPHA = 0.8
 DEFAULT_BETA = 0.2
@@ -80,18 +81,18 @@ def truncate_piece(piece, max_len):
     return replace(piece, tokens=new_tokens, entities=recompute_entities(piece, new_tokens))
 
 
-def input_ids(encoder, piece, max_len):
-    """The ids an encoder reads from a piece cut to max_len: its tokens, or the entities left in them.
+def input_words(encoder, piece, max_len):
+    """The words an encoder reads from a piece cut to max_len: its tokens, or the entities left in them.
 
     Training, validation and scoring all go through here, so a long piece's
     entity mentions are recounted on its truncated tokens wherever it is read,
     and an entity reader refuses a piece whose entities were never recognized.
     """
     if encoder.reads == "tokens":
-        return encoder.vocab.encode_tokens(piece.tokens, max_len)
+        return piece.tokens[:max_len]
     if piece.needs_recognition:
         raise ModelError(f"piece {piece.id!r} has no recognized entities; run recognition first")
-    return encoder.vocab.encode_entities(truncate_piece(piece, max_len).entities, max_len)
+    return entity_words(truncate_piece(piece, max_len).entities)[:max_len]
 
 
 def branches(model):
@@ -101,12 +102,14 @@ def branches(model):
     return {"detector": model}
 
 
-# one flat array, not one per piece: per-piece training arrays raised score-new-period's peak RSS from 245.6 to 262.6 MB
 def planned_ids(encoder, pieces, max_len):
-    """The ids an encoder reads from each piece (`input_ids`), as one flat array and the bounds of each piece's ids."""
-    ids = [input_ids(encoder, p, max_len) for p in pieces]
-    flat = np.concatenate(ids) if ids else np.zeros(0, dtype=np.intp)
-    return flat, [0, *accumulate(map(len, ids))]
+    """The ids of the words an encoder reads from each piece (`input_words`), as one flat array and each piece's bounds.
+
+    The words of every piece are encoded end to end in one call, so the ids are held once, never also per piece.
+    """
+    words = [input_words(encoder, p, max_len) for p in pieces]
+    bounds = [0, *accumulate(map(len, words))]
+    return encoder.vocab.encode_tokens(chain.from_iterable(words), count=bounds[-1]), bounds
 
 
 def loss_total(model, ids, labels, stop_grad_entity_from_overall=False):

@@ -184,47 +184,51 @@ class ScalarModel:
         """Scalar logit for one encoded sequence (pure function of params and input)."""
         return float(self._forward_cache(token_ids, [0, len(token_ids)])[0][0])
 
-    def _conv_preactivations(self, X, w):
-        """(B, L-w+1, F) window pre-activations: the bias plus one (F, d) weight slice per window offset."""
-        d = self.spec.embed_dim
-        W = self.layout.view(self.params, f"conv{w}_w")
-        n_pos = X.shape[1] - w + 1
-        Z = X[:, :n_pos] @ W[:, :d].T
-        for k in range(1, w):
-            Z += X[:, k : k + n_pos] @ W[:, k * d : (k + 1) * d].T
-        Z += self.layout.view(self.params, f"conv{w}_b")
-        return Z
-
     def _forward_cache(self, flat, bounds):
-        """Logits of a batch of sequences, the k-th flat[bounds[k]:bounds[k + 1]], padded to (B, L) behind a length mask."""
+        """Logits of a batch of sequences, the k-th flat[bounds[k]:bounds[k + 1]], read as one cleaned id stream.
+
+        Out-of-range ids read as [UNK], and a conv document shorter than its
+        widest window reads [PAD]s after its ids as real input. The conv
+        encoder convolves the stream and max-pools each document's windows;
+        bag-of-embeddings averages each document behind a length mask.
+        """
         sizes = np.diff(bounds)
         if not sizes.size:
             raise ModelError("cannot run the encoder on an empty batch")
         if not sizes.all():
             raise ModelError("cannot run the encoder on an empty token sequence")
-        # a conv document shorter than its widest window reads [PAD] as real input
-        lengths = np.maximum(sizes, max(self.spec.window_sizes)) if self.spec.kind == CONV_NGRAM else sizes
-        columns = np.arange(lengths.max())
-        padded = np.full((sizes.size, columns.size), self.vocab.pad_id, dtype=np.intp)
-        padded[columns < sizes[:, None]] = flat[bounds[0] : bounds[-1]]
-        padded[(padded < 0) | (padded >= self.vocab.size)] = self.vocab.unk_id
-        mask = columns < lengths[:, None]
-        ids = padded[mask]
+        conv = self.spec.kind == CONV_NGRAM
+        lengths = np.maximum(sizes, max(self.spec.window_sizes)) if conv else sizes
+        ids = np.array(flat[bounds[0] : bounds[-1]], dtype=np.intp)
+        starts = np.cumsum(lengths) - lengths
+        if conv and (lengths > sizes).any():
+            stream = np.full(int(lengths.sum()), self.vocab.pad_id, dtype=np.intp)
+            stream[np.repeat(starts - np.cumsum(sizes) + sizes, sizes) + np.arange(ids.size)] = ids
+            ids = stream
+        ids[(ids < 0) | (ids >= self.vocab.size)] = self.vocab.unk_id
         p, layout = self.params, self.layout
-        X = layout.view(p, "embed")[padded]
-        cache = {"ids": ids, "lengths": lengths, "mask": mask, "X": X}
-        if self.spec.kind == BAG_OF_EMBEDDINGS:
-            feat = (mask[:, None, :].astype(np.float64) @ X)[:, 0] / lengths[:, None]
+        E = layout.view(p, "embed")
+        cache = {"ids": ids, "lengths": lengths, "starts": starts}
+        if not conv:
+            mask = np.arange(lengths.max()) < lengths[:, None]
+            padded = np.full(mask.shape, self.vocab.pad_id, dtype=np.intp)
+            padded[mask] = ids
+            feat = (mask[:, None, :].astype(np.float64) @ E[padded])[:, 0] / lengths[:, None]
         else:
+            X = E[ids]
+            cache["X"] = X
             feats = []
             for w in self.spec.window_sizes:
-                Z = self._conv_preactivations(X, w)
-                A = np.maximum(Z, 0.0)
-                # windows that reach into batch padding never win the max
-                A[np.arange(Z.shape[1]) > (lengths - w)[:, None]] = -np.inf
-                arg = A.argmax(axis=1)
-                feats.append(np.take_along_axis(A, arg[:, None], axis=1)[:, 0])
-                cache[f"arg{w}"] = arg
+                # window i starts at stream position i: one GEMM per offset over the whole batch
+                W, d, n = layout.view(p, f"conv{w}_w"), self.spec.embed_dim, X.shape[0] - w + 1
+                Z = X[:n] @ W[:, :d].T
+                for k in range(1, w):
+                    Z += X[k : k + n] @ W[:, k * d : (k + 1) * d].T
+                Z += layout.view(p, f"conv{w}_b")
+                # a window that straddles two documents never wins the max; relu commutes with max
+                Z[(starts[1:, None] - w + 1 + np.arange(w - 1)).ravel()] = -np.inf
+                feats.append(np.maximum(np.maximum.reduceat(Z, starts, axis=0), 0.0))
+                cache[f"Z{w}"] = Z
             feat = np.concatenate(feats, axis=1)
         z1 = feat @ layout.view(p, "hidden_w").T + layout.view(p, "hidden_b")
         h = np.maximum(z1, 0.0)
@@ -256,22 +260,24 @@ class ScalarModel:
             at = inv
             contrib = np.repeat(dfeat / lengths[:, None], lengths, axis=0)
         else:
-            mask, X, F = cache["mask"], cache["X"], self.spec.n_filters
-            slot = np.zeros(mask.shape, dtype=np.intp)
-            slot[mask] = inv
-            # gradient flows through each (sample, filter)'s max-pooled window,
-            # gated by the conv relu
+            X, starts, F = cache["X"], cache["starts"], self.spec.n_filters
+            # gradient flows through each (sample, filter)'s first maximal window,
+            # gated by the conv relu: where it passes, the pooled feature is that window's Z
             dpool = np.where(feat > 0.0, dfeat, 0.0)
             at, contrib = [], []
             for k, w in enumerate(self.spec.window_sizes):
                 dZ = dpool[:, k * F : (k + 1) * F]
                 bs, fs = np.nonzero(dZ)
                 dsel = dZ[bs, fs]
-                win = cache[f"arg{w}"][bs, fs][:, None] + np.arange(w)
-                windows = X[bs[:, None], win].reshape(bs.size, w * d)
+                Z = cache[f"Z{w}"]
+                pos = np.arange(Z.shape[0])
+                top = np.repeat(feat[:, k * F : (k + 1) * F], lengths, axis=0)[: pos.size]
+                first = np.minimum.reduceat(np.where(Z == top, pos[:, None], pos.size), starts, axis=0)
+                win = first[bs, fs][:, None] + np.arange(w)
+                windows = X[win].reshape(bs.size, w * d)
                 dview(f"conv{w}_w")[:] = np.where(fs == np.arange(F)[:, None], dsel, 0.0) @ windows
                 dview(f"conv{w}_b")[:] = dZ.sum(axis=0)
-                at.append(slot[bs[:, None], win].ravel())
+                at.append(inv[win].ravel())
                 contrib.append((dsel[:, None] * layout.view(p, f"conv{w}_w")[fs]).reshape(-1, d))
             at, contrib = np.concatenate(at), np.concatenate(contrib)
         rows = np.zeros(uniq.size * d)

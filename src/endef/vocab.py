@@ -71,20 +71,27 @@ class Vocabulary:
     def __contains__(self, token):
         return token in self._index
 
-    def encode_tokens(self, tokens, max_len=None):
-        """Token ids with unknowns mapped to [UNK], truncated to max_len."""
+    def encode_tokens(self, tokens, max_len=None, count=None):
+        """Ids of a token sequence cut to max_len, or of any iterable of `count` tokens; unknowns map to [UNK]."""
         if max_len is not None:
             tokens = tokens[:max_len]
-        return np.fromiter(map(self._index.get, tokens, repeat(self.unk_id)), dtype=np.intp, count=len(tokens))
+        if count is None:
+            count = len(tokens)
+        return np.fromiter(map(self._index.get, tokens, repeat(self.unk_id)), dtype=np.intp, count=count)
 
     def encode_entities(self, entities, max_len=None):
         """The words of the entity strings joined with [SEP] and encoded as tokens; a lone [PAD] when empty."""
-        words = []
-        for j, e in enumerate(entities):
-            if j:
-                words.append(SEP_TOKEN)
-            words.extend(e.split())
-        return self.encode_tokens(words or [PAD_TOKEN], max_len)
+        return self.encode_tokens(entity_words(entities), max_len)
+
+
+def entity_words(entities):
+    """The words of the entity strings joined with [SEP]; a lone [PAD] when there are none."""
+    words = []
+    for j, e in enumerate(entities):
+        if j:
+            words.append(SEP_TOKEN)
+        words.extend(e.split())
+    return words or [PAD_TOKEN]
 
 
 def build_vocabulary(corpus, min_freq=2):

@@ -8,7 +8,7 @@ import pytest
 from endef.augmentation import Plan, _partition, augment, recompute_entities
 from endef.corpus import Corpus, NewsPiece, entity_bias_table
 from endef.experiments import flipped_bias_spec
-from endef.framework import branches, input_ids, loss_total, planned_ids
+from endef.framework import branches, input_words, loss_total, planned_ids
 from endef.models import (
     BAG_OF_EMBEDDINGS,
     CONV_NGRAM,
@@ -18,6 +18,7 @@ from endef.models import (
     EncoderSpec,
     ModelError,
     ScalarModel,
+    SparseGrad,
 )
 from endef.recognizer import Gazetteer, recognize_corpus
 from endef.vocab import MASK_TOKEN, SPECIAL_TOKENS, Vocabulary, build_vocabulary
@@ -42,6 +43,11 @@ def packed(seqs):
     """Id sequences as one id batch: (flat, bounds), sequence k being flat[bounds[k]:bounds[k + 1]]."""
     flat = np.concatenate([np.zeros(0, dtype=np.intp), *(np.asarray(s, dtype=np.intp) for s in seqs)])
     return flat, [0, *accumulate(map(len, seqs))]
+
+
+def input_ids(encoder, piece, max_len):
+    """The ids an encoder reads from one piece: `planned_ids` of that piece alone."""
+    return encoder.vocab.encode_tokens(input_words(encoder, piece, max_len))
 
 
 def piece_loss(model, pieces, max_len=MAX_SEQ_LEN, stop_grad_entity_from_overall=False):
@@ -172,8 +178,8 @@ def relu_safety_margin(model, ids):
     margins = [float(np.min(np.abs(cache["z1"])))]
     if model.spec.kind == CONV_NGRAM:
         for w in model.spec.window_sizes:
-            # a batch of one has no batch padding: every window position is real
-            Z = model._conv_preactivations(cache["X"], w)[0]
+            # a batch of one has no window that straddles two documents: every window is real
+            Z = cache[f"Z{w}"]
             A = np.maximum(Z, 0.0)
             for f in range(Z.shape[1]):
                 col = np.sort(A[:, f])
@@ -183,6 +189,82 @@ def relu_safety_margin(model, ids):
                 else:
                     margins.append(float(-Z[:, f].max()))
     return min(margins)
+
+
+def padded_conv_forward(model, flat, bounds):
+    """The conv encoder's forward pass over its batch padded to (B, L) behind a length mask: (logits, cache).
+
+    The formula `ScalarModel._forward_cache` used before it read the flat
+    stream: per window size, one (F, d) weight slice per offset applied to
+    every document of the padded tensor, a relu, windows that reach into
+    batch padding set to -inf, then each (document, filter)'s first argmax.
+    """
+    sizes = np.diff(bounds)
+    lengths = np.maximum(sizes, max(model.spec.window_sizes))
+    columns = np.arange(lengths.max())
+    padded = np.full((sizes.size, columns.size), model.vocab.pad_id, dtype=np.intp)
+    padded[columns < sizes[:, None]] = flat[bounds[0] : bounds[-1]]
+    padded[(padded < 0) | (padded >= model.vocab.size)] = model.vocab.unk_id
+    mask = columns < lengths[:, None]
+    p, layout, d = model.params, model.layout, model.spec.embed_dim
+    X = layout.view(p, "embed")[padded]
+    cache = {"ids": padded[mask], "mask": mask, "X": X}
+    feats = []
+    for w in model.spec.window_sizes:
+        W = layout.view(p, f"conv{w}_w")
+        n_pos = X.shape[1] - w + 1
+        Z = X[:, :n_pos] @ W[:, :d].T
+        for k in range(1, w):
+            Z += X[:, k : k + n_pos] @ W[:, k * d : (k + 1) * d].T
+        Z += layout.view(p, f"conv{w}_b")
+        A = np.maximum(Z, 0.0)
+        A[np.arange(Z.shape[1]) > (lengths - w)[:, None]] = -np.inf
+        arg = A.argmax(axis=1)
+        feats.append(np.take_along_axis(A, arg[:, None], axis=1)[:, 0])
+        cache[f"arg{w}"] = arg
+    feat = np.concatenate(feats, axis=1)
+    z1 = feat @ layout.view(p, "hidden_w").T + layout.view(p, "hidden_b")
+    h = np.maximum(z1, 0.0)
+    cache.update(feat=feat, z1=z1, h=h)
+    return h @ layout.view(p, "out_w") + layout.view(p, "out_b")[0], cache
+
+
+def padded_conv_backward(model, cache, upstream_grad):
+    """The conv encoder's `SparseGrad` from a `padded_conv_forward` cache, gathering windows from the padded tensor."""
+    g = np.asarray(upstream_grad, dtype=np.float64)
+    p, layout, d, F = model.params, model.layout, model.spec.embed_dim, model.spec.n_filters
+    embed_end = layout.slices["embed"][1]
+    tail = np.zeros(layout.size - embed_end)
+
+    def dview(name):
+        return layout.view(tail, name, embed_end)
+
+    feat, z1, h, mask, X = cache["feat"], cache["z1"], cache["h"], cache["mask"], cache["X"]
+    dview("out_b")[0] = g.sum()
+    dview("out_w")[:] = g @ h
+    dz1 = (g[:, None] * layout.view(p, "out_w")) * (z1 > 0.0)
+    dview("hidden_b")[:] = dz1.sum(axis=0)
+    dview("hidden_w")[:] = dz1.T @ feat
+    dfeat = dz1 @ layout.view(p, "hidden_w")
+    uniq, inv = np.unique(cache["ids"], return_inverse=True)
+    slot = np.zeros(mask.shape, dtype=np.intp)
+    slot[mask] = inv
+    dpool = np.where(feat > 0.0, dfeat, 0.0)
+    at, contrib = [], []
+    for k, w in enumerate(model.spec.window_sizes):
+        dZ = dpool[:, k * F : (k + 1) * F]
+        bs, fs = np.nonzero(dZ)
+        dsel = dZ[bs, fs]
+        win = cache[f"arg{w}"][bs, fs][:, None] + np.arange(w)
+        windows = X[bs[:, None], win].reshape(bs.size, w * d)
+        dview(f"conv{w}_w")[:] = np.where(fs == np.arange(F)[:, None], dsel, 0.0) @ windows
+        dview(f"conv{w}_b")[:] = dZ.sum(axis=0)
+        at.append(slot[bs[:, None], win].ravel())
+        contrib.append((dsel[:, None] * layout.view(p, f"conv{w}_w")[fs]).reshape(-1, d))
+    at, contrib = np.concatenate(at), np.concatenate(contrib)
+    rows = np.zeros(uniq.size * d)
+    np.add.at(rows, (at[:, None] * d + np.arange(d)).ravel(), contrib.ravel())
+    return SparseGrad(tail, uniq, rows.reshape(uniq.size, d))
 
 
 def reference_longest_matches(items, max_span, table, key):

@@ -16,7 +16,6 @@ from endef.augmentation import (
     recompute_entities,
 )
 from endef.corpus import contains_subsequence
-from endef.framework import input_ids
 from endef.models import MAX_SEQ_LEN
 from endef.recognizer import Gazetteer, recognize
 from endef.replay import Draws
@@ -26,6 +25,7 @@ from conftest import (
     Sample,
     augment_record,
     batch_ids,
+    input_ids,
     make_piece,
     make_plan,
     reference_longest_matches,

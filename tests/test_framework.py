@@ -13,7 +13,6 @@ from endef.framework import (
     EndefModel,
     branches,
     case_report,
-    input_ids,
     load_checkpoint,
     logits,
     loss_total,
@@ -36,6 +35,7 @@ from endef.training import evaluate_model
 from conftest import (
     dense_grad,
     finite_difference,
+    input_ids,
     make_piece,
     max_relative_error,
     packed,

@@ -26,6 +26,8 @@ from conftest import (
     finite_difference,
     max_relative_error,
     packed,
+    padded_conv_backward,
+    padded_conv_forward,
     reference_cross_entropy,
     reference_sigmoid,
     relu_safety_margin,
@@ -393,6 +395,59 @@ def test_batch_padding_does_not_leak():
                 np.testing.assert_allclose(pad_row, expect, rtol=BATCH_RTOL, atol=BATCH_ATOL)
                 pad_rows_checked += int(np.any(expect != 0.0))
     assert pad_rows_checked > 0
+
+
+def conv_oracle_batches(vocab, widest, rng):
+    """Named (flat, bounds) conv batches: short, widest-window and out-of-range documents, one alone, a chunk."""
+    docs = [rng.integers(4, vocab.size, size=int(n)).tolist() for n in rng.integers(widest + 1, 4 * widest, size=9)]
+    short, exact = docs[0][: widest - 1] or [5], docs[1][:widest]
+    oov = [vocab.size + 3, -1, *docs[1], vocab.size, -40]
+    flat, bounds = packed([docs[2], short, exact, oov, *docs[3:]])
+    return {
+        "mixed": (flat, bounds),
+        "short first and last": packed([short, *docs[4:], [vocab.pad_id]]),
+        "exact width beside longer": packed([exact, docs[6], exact[::-1]]),
+        "out-of-range ids": packed([oov, [-2], [vocab.size + 9] * widest]),
+        "one short document": packed([short]),
+        "one long document": packed([docs[5]]),
+        "chunk with bounds[0] != 0": (flat, bounds[2:7]),
+    }
+
+
+def test_flat_conv_matches_the_padded_oracle_exactly():
+    # the flat stream does each window's sums in the padded formula's order, so logits and gradients are equal in
+    # bits wherever both formulas' products take the same BLAS kernel. OpenBLAS picks a kernel by shape: a one-row
+    # product is a gemv, and AVX-512 builds use a small-matrix kernel below some size at wider dimensions, so the
+    # dimensions here stay small and every padded batch but a lone document has more than one window per offset
+    vocab = tiny_vocab(40)
+    rng = np.random.default_rng(41)
+    widest_ten = EncoderSpec(CONV_NGRAM, embed_dim=4, hidden_dim=5, window_sizes=(1, 2, 3, 5, 10), n_filters=3)
+    specs = (REFERENCE_SPECS[1], widest_ten)
+    encoders = [ScalarModel(spec, vocab, seed=seed) for seed in range(4) for spec in specs]
+    for spec in specs:
+        # every window of a filter ties, so the gradient must go through the first one, as the oracle's argmax does
+        tied = ScalarModel(spec, vocab, seed=9)
+        for w in spec.window_sizes:
+            tied.layout.view(tied.params, f"conv{w}_w")[:] = 0.0
+            tied.layout.view(tied.params, f"conv{w}_b")[:] = 0.5
+        encoders.append(tied)
+    conv_rows_checked = 0
+    for model in encoders:
+        embed_end = model.layout.slices["embed"][1]
+        for name, (flat, bounds) in conv_oracle_batches(vocab, max(model.spec.window_sizes), rng).items():
+            upstream = rng.normal(size=len(bounds) - 1)
+            upstream[0] = 0.0
+            logits, cache = model._forward_cache(flat, bounds)
+            expect_logits, expect_cache = padded_conv_forward(model, flat, bounds)
+            assert np.array_equal(logits, expect_logits), name
+            grad = model._backward_from_cache(cache, upstream)
+            expect = padded_conv_backward(model, expect_cache, upstream)
+            for part, expect_part in zip(grad, expect):
+                assert part.shape == expect_part.shape and np.array_equal(part, expect_part), name
+            conv_w = model.layout.view(expect.tail, "conv2_w", embed_end)
+            conv_rows_checked += int(np.count_nonzero(conv_w.any(axis=1)))
+    # the comparison must exercise the window gather, not only filters that never fire
+    assert conv_rows_checked > 0
 
 
 def test_sparse_gradient_size_does_not_grow_with_vocabulary():

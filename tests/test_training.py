@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from endef import augmentation as aug
+from endef import framework
 from endef.corpus import Corpus, SplitResult
 from endef.experiments import (
     default_detector_spec,
@@ -15,7 +16,7 @@ from endef.experiments import (
     run_entity_only_probe,
     split_for,
 )
-from endef.framework import branches, input_ids, make_endef_model, score
+from endef.framework import branches, make_endef_model, score
 from endef.metrics import PredictionSet, f1_scores
 from endef.models import BAG_OF_EMBEDDINGS, CONV_NGRAM, AdamState, EncoderSpec, ScalarModel, adam_step
 from endef.payload import from_fields
@@ -34,7 +35,7 @@ from endef.training import (
 )
 from endef.vocab import MASK_TOKEN, Vocabulary, build_vocabulary
 
-from conftest import augment_record, make_piece, make_plan, piece_loss, unbiased_spec
+from conftest import augment_record, input_ids, make_piece, make_plan, piece_loss, unbiased_spec
 from test_augmentation import REFERENCE_SETTINGS, reference_augment
 
 
@@ -320,20 +321,26 @@ def test_train_matches_reference_loop():
 def test_validation_is_encoded_once_per_run(monkeypatch):
     # an entity reader cut to 3 tokens: scoring validation pieces afresh would re-truncate and re-encode each every epoch
     split, vocab, det_spec, ent_spec, cfg = tiny_setup()
-    calls = []
-    real_encode = Vocabulary.encode_entities
+    read, encodes = [], []
+    real_words, real_encode = framework.input_words, Vocabulary.encode_tokens
 
-    def counting(self, entities, max_len=None):
-        calls.append(entities)
-        return real_encode(self, entities, max_len)
+    def reading(encoder, piece, max_len):
+        read.append(piece.id)
+        return real_words(encoder, piece, max_len)
 
-    monkeypatch.setattr(Vocabulary, "encode_entities", counting)
+    def encoding(self, *args, **kwargs):
+        encodes.append(kwargs.get("count"))
+        return real_encode(self, *args, **kwargs)
+
+    monkeypatch.setattr(framework, "input_words", reading)
+    monkeypatch.setattr(Vocabulary, "encode_tokens", encoding)
     model = ScalarModel(ent_spec, vocab, seed=0, reads="entities")
     cfg = replace(cfg, max_epochs=3, patience=3, max_len=3, augment=AugmentSettings(enabled=False))
     result = train(model, split, cfg)
     assert len(result.history) == 3
-    # the plan encodes each training piece once and validation each of its pieces once
-    assert len(calls) == len(split.train) + len(split.validation)
+    # the plan reads each training piece once and validation each of its pieces once, each part in one encode call
+    assert len(read) == len(split.train) + len(split.validation)
+    assert len(encodes) == 2 and None not in encodes
 
 
 def test_vocabulary_from_train_split_only():
