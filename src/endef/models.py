@@ -201,7 +201,7 @@ class ScalarModel:
         lengths = np.maximum(sizes, max(self.spec.window_sizes)) if conv else sizes
         ids = np.array(flat[bounds[0] : bounds[-1]], dtype=np.intp)
         starts = np.cumsum(lengths) - lengths
-        if conv and (lengths > sizes).any():
+        if (lengths > sizes).any():
             stream = np.full(int(lengths.sum()), self.vocab.pad_id, dtype=np.intp)
             stream[np.repeat(starts - np.cumsum(sizes) + sizes, sizes) + np.arange(ids.size)] = ids
             ids = stream

@@ -414,15 +414,30 @@ def conv_oracle_batches(vocab, widest, rng):
     }
 
 
+def conv_and_oracle(model, flat, bounds, rng):
+    """The encoder's and the padded oracle's logits and `SparseGrad` parts for one batch and a random upstream."""
+    upstream = rng.normal(size=len(bounds) - 1)
+    upstream[0] = 0.0
+    logits, cache = model._forward_cache(flat, bounds)
+    expect_logits, expect_cache = padded_conv_forward(model, flat, bounds)
+    got = (logits, *model._backward_from_cache(cache, upstream))
+    return got, (expect_logits, *padded_conv_backward(model, expect_cache, upstream))
+
+
+WIDEST_TEN = EncoderSpec(CONV_NGRAM, embed_dim=4, hidden_dim=5, window_sizes=(1, 2, 3, 5, 10), n_filters=3)
+# the large-conv benchmark's detector
+LARGE_CONV = EncoderSpec(CONV_NGRAM, embed_dim=32, hidden_dim=64, window_sizes=(1, 2, 3, 5, 10), n_filters=16)
+
+
 def test_flat_conv_matches_the_padded_oracle_exactly():
     # the flat stream does each window's sums in the padded formula's order, so logits and gradients are equal in
-    # bits wherever both formulas' products take the same BLAS kernel. OpenBLAS picks a kernel by shape: a one-row
-    # product is a gemv, and AVX-512 builds use a small-matrix kernel below some size at wider dimensions, so the
-    # dimensions here stay small and every padded batch but a lone document has more than one window per offset
+    # bits wherever both formulas' products take the same BLAS kernel. The padded formula runs one product per
+    # document with as many rows as the batch's longest document has windows, the stream one over the whole batch;
+    # BLAS picks its kernel by shape, so exactness is checked where the padded products have more than one row
+    # (a one-row product is a gemv), at small dimensions and at large-conv's with documents of its length
     vocab = tiny_vocab(40)
     rng = np.random.default_rng(41)
-    widest_ten = EncoderSpec(CONV_NGRAM, embed_dim=4, hidden_dim=5, window_sizes=(1, 2, 3, 5, 10), n_filters=3)
-    specs = (REFERENCE_SPECS[1], widest_ten)
+    specs = (REFERENCE_SPECS[1], WIDEST_TEN)
     encoders = [ScalarModel(spec, vocab, seed=seed) for seed in range(4) for spec in specs]
     for spec in specs:
         # every window of a filter ties, so the gradient must go through the first one, as the oracle's argmax does
@@ -431,23 +446,48 @@ def test_flat_conv_matches_the_padded_oracle_exactly():
             tied.layout.view(tied.params, f"conv{w}_w")[:] = 0.0
             tied.layout.view(tied.params, f"conv{w}_b")[:] = 0.5
         encoders.append(tied)
+    cases = [(model, conv_oracle_batches(vocab, max(model.spec.window_sizes), rng)) for model in encoders]
+    large_vocab = tiny_vocab(300)
+    large_docs = [rng.integers(4, large_vocab.size, size=int(n)) for n in rng.integers(100, 161, size=70)]
+    long_flat, long_bounds = packed(large_docs[:64])
+    large_batches = {
+        "a scoring chunk of long documents": (long_flat, long_bounds),
+        "long beside short, exact-width and out-of-range": packed(
+            [large_docs[64], [7, 9], large_docs[65][:10], [-3, *large_docs[66], large_vocab.size + 1]]
+        ),
+        "one long document": packed([large_docs[67]]),
+        "chunk with bounds[0] != 0": (long_flat, long_bounds[5:40]),
+    }
+    cases += [(ScalarModel(LARGE_CONV, large_vocab, seed=seed), large_batches) for seed in range(2)]
     conv_rows_checked = 0
-    for model in encoders:
+    for model, batches in cases:
         embed_end = model.layout.slices["embed"][1]
-        for name, (flat, bounds) in conv_oracle_batches(vocab, max(model.spec.window_sizes), rng).items():
-            upstream = rng.normal(size=len(bounds) - 1)
-            upstream[0] = 0.0
-            logits, cache = model._forward_cache(flat, bounds)
-            expect_logits, expect_cache = padded_conv_forward(model, flat, bounds)
-            assert np.array_equal(logits, expect_logits), name
-            grad = model._backward_from_cache(cache, upstream)
-            expect = padded_conv_backward(model, expect_cache, upstream)
-            for part, expect_part in zip(grad, expect):
+        for name, (flat, bounds) in batches.items():
+            got, expect = conv_and_oracle(model, flat, bounds, rng)
+            for part, expect_part in zip(got, expect):
                 assert part.shape == expect_part.shape and np.array_equal(part, expect_part), name
-            conv_w = model.layout.view(expect.tail, "conv2_w", embed_end)
+            conv_w = model.layout.view(expect[1], "conv2_w", embed_end)
             conv_rows_checked += int(np.count_nonzero(conv_w.any(axis=1)))
     # the comparison must exercise the window gather, not only filters that never fire
     assert conv_rows_checked > 0
+
+
+def test_flat_conv_matches_the_padded_oracle_to_rounding_on_short_batches():
+    # a batch of short documents gives the padded formula products of few rows: one (a gemv) when every document
+    # fits in the widest window, and few enough at large-conv's dimensions for OpenBLAS's small-matrix kernel.
+    # The stream's products over the whole batch can take another kernel, which rounds the same sums differently
+    vocab = tiny_vocab(300)
+    rng = np.random.default_rng(43)
+    for spec in (WIDEST_TEN, LARGE_CONV):
+        for seed in range(3):
+            model = ScalarModel(spec, vocab, seed=seed)
+            short = [rng.integers(-2, vocab.size + 2, size=int(n)) for n in rng.integers(1, 11, size=40)]
+            medium = [rng.integers(4, vocab.size, size=int(n)) for n in rng.integers(11, 80, size=40)]
+            for batch in (short, medium, short[:2] + medium[:6]):
+                got, expect = conv_and_oracle(model, *packed(batch), rng)
+                for part, expect_part in zip(got, expect):
+                    assert part.shape == expect_part.shape
+                    np.testing.assert_allclose(part, expect_part, rtol=BATCH_RTOL, atol=BATCH_ATOL)
 
 
 def test_sparse_gradient_size_does_not_grow_with_vocabulary():
