@@ -256,15 +256,21 @@ class ScalarModel:
         d, lengths = self.spec.embed_dim, cache["lengths"]
         # batch padding is never read, so only real positions get a row
         uniq, inv = np.unique(cache["ids"], return_inverse=True)
+        # an int32 index where the rows fit one: half the memory of the scatter's flat index
+        inv = inv.astype(np.int32 if uniq.size * d <= np.iinfo(np.int32).max else np.intp)
+        rows = np.zeros(uniq.size * d)
+
+        def scatter(at, contrib):
+            # in position order; consecutive calls add in the order of one call over their concatenation
+            np.add.at(rows, (at[:, None] * d + np.arange(d, dtype=inv.dtype)).ravel(), contrib.ravel())
+
         if self.spec.kind == BAG_OF_EMBEDDINGS:
-            at = inv
-            contrib = np.repeat(dfeat / lengths[:, None], lengths, axis=0)
+            scatter(inv, np.repeat(dfeat / lengths[:, None], lengths, axis=0))
         else:
             X, starts, F = cache["X"], cache["starts"], self.spec.n_filters
             # gradient flows through each (sample, filter)'s first maximal window,
             # gated by the conv relu: where it passes, the pooled feature is that window's Z
             dpool = np.where(feat > 0.0, dfeat, 0.0)
-            at, contrib = [], []
             for k, w in enumerate(self.spec.window_sizes):
                 dZ = dpool[:, k * F : (k + 1) * F]
                 bs, fs = np.nonzero(dZ)
@@ -277,11 +283,7 @@ class ScalarModel:
                 windows = X[win].reshape(bs.size, w * d)
                 dview(f"conv{w}_w")[:] = np.where(fs == np.arange(F)[:, None], dsel, 0.0) @ windows
                 dview(f"conv{w}_b")[:] = dZ.sum(axis=0)
-                at.append(inv[win].ravel())
-                contrib.append((dsel[:, None] * layout.view(p, f"conv{w}_w")[fs]).reshape(-1, d))
-            at, contrib = np.concatenate(at), np.concatenate(contrib)
-        rows = np.zeros(uniq.size * d)
-        np.add.at(rows, (at[:, None] * d + np.arange(d)).ravel(), contrib.ravel())
+                scatter(inv[win].ravel(), dsel[:, None] * layout.view(p, f"conv{w}_w")[fs])
         return SparseGrad(tail, uniq, rows.reshape(uniq.size, d))
 
     def to_payload(self):
@@ -374,7 +376,7 @@ def _adam_update(params, grads, ms, vs, lr, t):
 
 
 def adam_step(params, grad, state, lr, t):
-    """One bias-corrected Adam update from a batch's `SparseGrad`; returns new params, mutates `state`.
+    """One bias-corrected Adam update from a batch's `SparseGrad`, written into `params` and `state`; returns `params`.
 
     `t` is the 1-based step count. The step raises `state.rows` past the
     batch's largest id, then updates the embedding rows below it (a row the
@@ -402,7 +404,6 @@ def adam_step(params, grad, state, lr, t):
     prefix = state.rows * d
     g = np.zeros(prefix)
     g.reshape(state.rows, d)[ids] = rows
-    out = params.copy()
-    _adam_update(out[:prefix], g, state.m[:prefix], state.v[:prefix], lr, t)
-    _adam_update(out[embed_end:], tail, state.m[embed_end:], state.v[embed_end:], lr, t)
-    return out
+    _adam_update(params[:prefix], g, state.m[:prefix], state.v[:prefix], lr, t)
+    _adam_update(params[embed_end:], tail, state.m[embed_end:], state.v[embed_end:], lr, t)
+    return params

@@ -139,7 +139,9 @@ def train(model, split, cfg):
     `augmentation.Plan`, from which `augmentation.augment` derives each
     batch's ids. The validation ids are encoded once too.
     The model is updated in place and, after the run, holds the parameters
-    of the best validation epoch (not the last one).
+    of the best validation epoch (not the last one). Adam writes into a
+    private copy of each encoder's parameters, so the arrays the model held
+    on entry are never written.
     """
     _check_split(split)
     encoders = branches(model)
@@ -153,7 +155,9 @@ def train(model, split, cfg):
     val_labels = labels_of(split.validation)
     n = len(pieces)
     best_metric = -math.inf
-    best_params = {name: enc.params.copy() for name, enc in encoders.items()}
+    best_params = {}
+    for name, enc in encoders.items():
+        best_params[name], enc.params = enc.params, enc.params.copy()
     best_epoch = 0
     bad_epochs = 0
     history = []
@@ -171,7 +175,7 @@ def train(model, split, cfg):
             except ModelError as exc:
                 raise TrainingError(f"epoch {epoch}, batch {start // cfg.batch_size + 1}: {exc}") from exc
             for name, enc in encoders.items():
-                enc.params = adam_step(enc.params, grads[name], opts[name], cfg.lr, step)
+                adam_step(enc.params, grads[name], opts[name], cfg.lr, step)
             loss_sum += loss * len(batch_idx)
         val_scores = sigmoid(encoded_logits(encoders["detector"], *val_ids))
         val_macf1 = f1_scores(PredictionSet(val_scores, val_labels)).macf1

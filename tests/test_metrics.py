@@ -1,11 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import endef
 from endef.metrics import (
     EvalReport,
     MetricsError,
@@ -19,6 +24,7 @@ from endef.metrics import (
     roc_auc,
     roc_points,
     sp_auc,
+    t_two_sided_p,
 )
 
 
@@ -237,7 +243,44 @@ def test_paired_ttest_known_case():
     d = np.array(x) - np.array(y)
     expect_t = d.mean() / (d.std(ddof=1) / math.sqrt(d.size))
     assert t == pytest.approx(expect_t)
-    assert 0.0 < p < 0.1
+    # d = (0.02, 0.02, 0.05, 0.02) gives t = 11/3 on 3 degrees of freedom, where
+    # A(t|3) = (2/pi)(theta + sin(theta)cos(theta)) with tan(theta) = 11/(3 sqrt 3): sin*cos = 99/(148 sqrt 3)
+    theta = math.atan(11.0 / (3.0 * math.sqrt(3.0)))
+    assert p == pytest.approx(1.0 - 2.0 / math.pi * (theta + 99.0 / (148.0 * math.sqrt(3.0))), rel=0, abs=1e-15)
+
+
+def t_tail_by_quadrature(ts, nu):
+    """1 - 2 * integral of the t density over [0, t], by 30-node Gauss-Legendre on each gap of the sorted grid `ts`."""
+    nodes, weights = np.polynomial.legendre.leggauss(30)
+    lo, hi = ts[:-1, None], ts[1:, None]
+    x = (hi + lo) / 2 + (hi - lo) / 2 * nodes
+    norm = math.gamma((nu + 1) / 2) / math.gamma(nu / 2) / math.sqrt(nu * math.pi)
+    density = norm * (1.0 + x * x / nu) ** (-(nu + 1) / 2)
+    pieces = (hi[:, 0] - lo[:, 0]) / 2 * (density @ weights)
+    return 1.0 - 2.0 * np.concatenate([[0.0], np.cumsum(pieces)])
+
+
+def test_t_two_sided_p_exact_oracles():
+    ts = np.linspace(0.0, 12.0, 97)
+    for t in ts:
+        # nu = 1 is the Cauchy tail and nu = 2 has its own closed form
+        assert t_two_sided_p(t, 1) == pytest.approx(1.0 - 2.0 / math.pi * math.atan(t), rel=0, abs=1e-15)
+        assert t_two_sided_p(t, 2) == pytest.approx(1.0 - t / math.sqrt(t * t + 2.0), rel=0, abs=1e-15)
+        assert t_two_sided_p(-t, 7) == t_two_sided_p(t, 7)
+    for nu in range(1, 60):
+        got = np.array([t_two_sided_p(t, nu) for t in ts])
+        assert np.abs(got - t_tail_by_quadrature(ts, nu)).max() <= 1e-14, nu
+        assert got[0] == 1.0 and got.min() >= 0.0
+    # far in the tail 1 - A cancels to 0, never below it
+    assert t_two_sided_p(1e300, 4) == 0.0 and t_two_sided_p(math.inf, 3) == 0.0
+
+
+def test_import_loads_no_scipy():
+    # NumPy is the only runtime dependency: the t-test's tail is closed-form, not scipy.stats
+    code = "import sys, endef; print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    env = {**os.environ, "PYTHONPATH": str(Path(endef.__file__).resolve().parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_paired_ttest_identical_sequences():

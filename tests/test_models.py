@@ -537,7 +537,7 @@ def textbook_adam(params, grads, m, v, lr, t):
 def test_adam_zero_gradient_leaves_params_unchanged():
     params = np.array([1.0, -2.0, 3.0])
     state = AdamState.zeros(3)
-    out = adam_step(params, no_table(np.zeros(3)), state, lr=0.1, t=1)
+    out = adam_step(params.copy(), no_table(np.zeros(3)), state, lr=0.1, t=1)
     assert np.array_equal(out, params)
 
 
@@ -549,12 +549,19 @@ def test_adam_constant_gradient_closed_form():
     state = AdamState.zeros(2)
     lr = 0.01
     for t in range(1, 20):
-        new = adam_step(params, no_table(g), state, lr, t)
+        new = adam_step(params.copy(), no_table(g), state, lr, t)
         step = params - new
         expect = lr * g / (np.abs(g) + ADAM_EPS)
         assert np.allclose(step, expect, rtol=1e-12, atol=0)
         assert np.allclose(step, lr * np.sign(g), rtol=1e-6)
         params = new
+
+
+def test_adam_writes_the_update_into_params():
+    params = np.array([1.0, -2.0, 3.0])
+    out = adam_step(params, no_table(np.array([0.5, 0.0, -1.0])), AdamState.zeros(3), lr=0.1, t=1)
+    assert out is params
+    assert params[0] < 1.0 and params[1] == -2.0 and params[2] > 3.0
 
 
 def test_adam_rejects_non_finite_gradient():

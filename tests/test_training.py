@@ -141,6 +141,24 @@ def test_training_is_deterministic():
     assert np.array_equal(a.model.entity_model.params, b.model.entity_model.params)
 
 
+def test_train_never_writes_the_callers_params():
+    # Adam updates in place, so train must step a private copy of the arrays the encoders held on entry
+    split, vocab, det_spec, ent_spec, cfg = tiny_setup()
+    init = ScalarModel(det_spec, vocab, seed=4).params
+    before = init.copy()
+    model = ScalarModel(det_spec, vocab, params=init)
+    assert model.params is init
+    train(model, split, cfg)
+    assert init.tobytes() == before.tobytes()
+    assert not np.array_equal(model.params, init)
+    fused = make_endef_model(det_spec, ent_spec, vocab, seed=4)
+    held = {name: (enc.params, enc.params.copy()) for name, enc in branches(fused).items()}
+    train(fused, split, cfg)
+    for name, (array, copy) in held.items():
+        assert array.tobytes() == copy.tobytes(), name
+        assert not np.array_equal(branches(fused)[name].params, copy), name
+
+
 def test_alpha_one_beta_zero_matches_baseline_bit_for_bit():
     split, vocab, det_spec, ent_spec, cfg = tiny_setup()
     seed = 5
