@@ -1,21 +1,23 @@
 """Token-level training augmentation: random drop/mask of words or entity spans, a batch at a time.
 
-A `Plan` scans each truncated training piece once per run and keeps, as
-run-level arrays, the ids every view reads from it and its entity spans.
+A `Plan` scans each training piece, cut to max_len, once per run and keeps,
+as run-level arrays, the ids every view reads from it and its entity spans.
 `augment` edits a batch of the plan's pieces with the draws the per-sample
 rule below makes from `np.random.default_rng`, replayed by `replay.Draws`,
 and returns the ids each view reads from the batch as one flat array and
 the bounds of each sample's ids. Every scan is `recognizer.Gazetteer.spans`
 over a gazetteer of the piece's in-text entities, so a recount names the
-spelling recognition would.
+spelling recognition would, in the order it finds them (`recompute_entities`).
 """
 
-from itertools import accumulate, product
+from itertools import product
 
 import numpy as np
 
+from .corpus import require_recognized
+from .models import ModelError
 from .recognizer import Gazetteer
-from .vocab import MASK_TOKEN
+from .vocab import MASK_TOKEN, entity_words
 
 AUGMENT_KINDS = ("word_level", "entity_level")
 AUGMENT_ACTIONS = ("drop", "mask")
@@ -31,14 +33,15 @@ def _partition(piece, scanners):
     return scanners[in_text], external
 
 
-def recompute_entities(piece, new_tokens):
-    """Entity list for an edited token sequence.
+def recompute_entities(piece, new_tokens, scanners=None):
+    """The entities an entity reader reads from a piece whose tokens are `new_tokens`.
 
-    In-text entities are re-matched against the new tokens; entities that
-    never occurred in the original tokens were supplied externally and are
-    preserved untouched at the end of the list.
+    In-text entities come in the order the scan of the new tokens finds
+    them; entities that never occurred in the piece's tokens were supplied
+    externally and follow, as listed. `scanners` keeps one gazetteer per
+    distinct in-text entity set across calls.
     """
-    scanner, external = _partition(piece, {})
+    scanner, external = _partition(piece, {} if scanners is None else scanners)
     return tuple(e for _, _, e in scanner.spans(tuple(new_tokens))) + external
 
 
@@ -49,29 +52,29 @@ def _runs(starts, lengths):
 
 
 class Plan:
-    """The truncated training pieces of one run, scanned once, as the run-level arrays `augment` reads.
+    """The training pieces of one run, cut to max_len and scanned once, as the run-level arrays `augment` reads.
 
-    `planned` maps each view an encoder reads (`tokens` or `entities`) to
-    (vocabulary, flat ids, bounds), the ids of piece r being
-    flat[bounds[r]:bounds[r + 1]] (`framework.planned_ids`); `ids` keeps the
-    (flat ids, bounds) pair of each view. Training pieces are cut to max_len
-    before they are planned, so token ids line up with tokens. Token
-    positions are counted over all pieces end to end; the spans of piece i
-    are spans first_span[i], first_span[i] + 1, ...
+    `vocabs` maps each view an encoder reads (`tokens` or `entities`) to its
+    vocabulary. `ids[view]` is that view's (flat ids, bounds), the ids of
+    piece r being flat[bounds[r]:bounds[r + 1]]: its cut tokens, or the
+    entities the planning scan found in them, then its external ones, as
+    `framework.input_words` reads them. Token positions are counted over all
+    cut pieces end to end; the spans of piece i are spans first_span[i],
+    first_span[i] + 1, ...
     """
 
-    def __init__(self, pieces, planned, max_len):
+    def __init__(self, pieces, vocabs, max_len):
         self.pieces = pieces
         self.max_len = max_len
-        self.vocabs = {view: vocab for view, (vocab, _, _) in planned.items()}
-        self.ids = {view: (flat, bounds) for view, (_, flat, bounds) in planned.items()}
-        ntok = [len(p.tokens) for p in pieces]
+        self.vocabs = vocabs
+        self.tokens = tokens = [p.tokens[:max_len] for p in pieces]
+        ntok = list(map(len, tokens))
         self.first = np.concatenate(([0], np.cumsum(ntok, dtype=np.intp)))
         scanners = {}
         self.scanners, self.externals, nspan, spans, names, rescans = [], [], [], [], [], []
-        for piece, first in zip(pieces, self.first.tolist()):
+        for piece, cut, first in zip(pieces, tokens, self.first.tolist()):
             scanner, external = _partition(piece, scanners)
-            found = scanner.spans(piece.tokens)
+            found = scanner.spans(cut)
             self.scanners.append(scanner)
             self.externals.append(external)
             nspan.append(len(found))
@@ -92,10 +95,11 @@ class Plan:
         # an edit that misses every span leaves a recount unchanged unless masking can complete an entity
         # with [MASK] in its words, or dropping can join the words of a multi-word entity
         self.rescans = np.array(rescans, dtype=bool).reshape(-1, 2)
-        if "entities" in planned:
-            # what an entity reader gets from such an edit where its planning scan lists entities in another order
-            encode = self.vocabs["entities"].encode_entities
-            self.scan_order = {i: encode(names[i], max_len) for i, p in enumerate(pieces) if names[i] != p.entities}
+        words = {"tokens": tokens}
+        if "entities" in vocabs:
+            require_recognized(pieces, ModelError)
+            words["entities"] = [entity_words(found)[:max_len] for found in names]
+        self.ids = {view: vocab.encode_sequences(words[view]) for view, vocab in vocabs.items()}
 
 
 def augment(plan, batch, settings, draws):
@@ -132,11 +136,12 @@ def augment(plan, batch, settings, draws):
 def _edited_ids(plan, batch, slots, word_level, drops, counts, selected, keeps):
     """The (flat, bounds) ids each view reads from a batch, given the edit and the selections of each picking sample.
 
-    A token reader's ids are one gather of the planned ids, [MASK]'s id written
-    at masked positions and dropped positions left out. An entity reader gets
-    the planned ids of an unedited sample. It rescans the edited tokens only
-    when the edit touches a span, or could complete or join an entity
-    (`Plan.rescans`); otherwise the recount is that of the planning scan.
+    Each view's ids are one gather of its planned ids. A token reader's get
+    [MASK]'s id written at masked positions and dropped positions left out.
+    An entity reader's stay the planned ones unless the edit touches a span,
+    or could complete or join an entity (`Plan.rescans`): only such a
+    sample's edited tokens are rescanned, and its recount encoded in their
+    place.
     """
     idx = np.array(batch, dtype=np.intp)
     sizes = plan.first[idx + 1] - plan.first[idx]
@@ -166,17 +171,24 @@ def _edited_ids(plan, batch, slots, word_level, drops, counts, selected, keeps):
         kept = edit < 2
         out["tokens"] = ids[kept], np.concatenate(([0], np.cumsum(np.add.reduceat(kept, first))))
     if "entities" in plan.ids:
-        (flat, planned), encode = plan.ids["entities"], plan.vocabs["entities"].encode_entities
+        flat, planned = plan.ids["entities"]
         touched = np.add.reduceat((edit > 0) & plan.in_span[at], first) > 0
-        rescan = np.flatnonzero(touched | (picked > 0) & plan.rescans[idx, drop.view(np.int8)]).tolist()
-        own = [flat[planned[i] : planned[i + 1]] for i in batch]
-        ids = [plan.scan_order.get(i, ids) if n else ids for i, n, ids in zip(batch, picked.tolist(), own)]
-        bounds, edit = np.append(first, len(at)).tolist(), edit.tolist()
-        for k in rescan:
-            i, piece = batch[k], plan.pieces[batch[k]]
-            edited = zip(piece.tokens, edit[bounds[k] : bounds[k + 1]])
+        rescan = np.flatnonzero(touched | (picked > 0) & plan.rescans[idx, drop.view(np.int8)])
+        words = []
+        for k in rescan.tolist():
+            i = batch[k]
+            edited = zip(plan.tokens[i], edit[first[k] : first[k] + sizes[k]].tolist())
             tokens = tuple(MASK_TOKEN if e == 1 else t for t, e in edited if e < 2)
-            entities = tuple(e for _, _, e in plan.scanners[i].spans(tokens)) + plan.externals[i]
-            ids[k] = own[k] if entities == piece.entities else encode(entities, plan.max_len)
-        out["entities"] = np.concatenate(ids), [0, *accumulate(map(len, ids))]
+            found = tuple(e for _, _, e in plan.scanners[i].spans(tokens)) + plan.externals[i]
+            words.append(entity_words(found)[: plan.max_len])
+        starts, lengths = planned[idx], planned[idx + 1] - planned[idx]
+        lengths[rescan] = list(map(len, words))
+        reused = np.ones(len(batch), dtype=bool)
+        reused[rescan] = False
+        from_plan = np.repeat(reused, lengths)
+        ids = np.empty(from_plan.size, dtype=flat.dtype)
+        ids[from_plan] = flat[_runs(starts[reused], lengths[reused])]
+        if words:
+            ids[~from_plan] = plan.vocabs["entities"].encode_sequences(words)[0]
+        out["entities"] = ids, np.concatenate(([0], np.cumsum(lengths)))
     return out

@@ -241,6 +241,13 @@ class EntityBiasRow:
     fake_fraction: float
 
 
+def require_recognized(pieces, error=CorpusError):
+    """Refuse pieces whose entities were never recognized: nothing can read or count their entities."""
+    for p in pieces:
+        if p.needs_recognition:
+            raise error(f"piece {p.id!r} has no recognized entities; run recognition first")
+
+
 def entity_bias_table(corpus, period_boundary):
     """Per-entity piece counts and fake fractions before/after the boundary.
 
@@ -249,9 +256,7 @@ def entity_bias_table(corpus, period_boundary):
     mentions. Rows are sorted by total count over both periods descending,
     ties by entity string; periods with zero occurrences are omitted.
     """
-    for p in corpus:
-        if p.needs_recognition:
-            raise CorpusError(f"piece {p.id!r} has no recognized entities; run recognition first")
+    require_recognized(corpus)
     counts = {}
     for p in corpus:
         period = "pre" if p.timestamp < period_boundary else "post"

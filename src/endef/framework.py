@@ -8,14 +8,14 @@ learned from historical data cannot steer predictions on future data.
 """
 
 import json
-from dataclasses import dataclass, replace
-from itertools import accumulate, chain
+from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 from .augmentation import recompute_entities
+from .corpus import require_recognized
 from .models import (
     BAG_OF_EMBEDDINGS,
     CHECKPOINT_FORMAT,
@@ -73,26 +73,20 @@ def make_endef_model(detector_spec, entity_spec, vocab, *, seed=0, alpha=DEFAULT
     return EndefModel(entity_model, detector, alpha, beta)
 
 
-def truncate_piece(piece, max_len):
-    """Cut tokens to max_len and re-locate entities on the shortened sequence."""
-    if len(piece.tokens) <= max_len:
-        return piece
-    new_tokens = piece.tokens[:max_len]
-    return replace(piece, tokens=new_tokens, entities=recompute_entities(piece, new_tokens))
+def input_words(encoder, piece, max_len, scanners=None):
+    """The words an encoder reads from a piece cut to max_len: its tokens, or the entities found in them.
 
-
-def input_words(encoder, piece, max_len):
-    """The words an encoder reads from a piece cut to max_len: its tokens, or the entities left in them.
-
-    Training, validation and scoring all go through here, so a long piece's
-    entity mentions are recounted on its truncated tokens wherever it is read,
-    and an entity reader refuses a piece whose entities were never recognized.
+    Validation and scoring read every piece through here, and training's
+    `augmentation.Plan` reads the same words from its own scan. An entity
+    reader reads the in-text entities in the order a scan of the cut tokens
+    finds them, then the external ones (`augmentation.recompute_entities`,
+    sharing `scanners`), and refuses a piece whose entities were never
+    recognized.
     """
     if encoder.reads == "tokens":
         return piece.tokens[:max_len]
-    if piece.needs_recognition:
-        raise ModelError(f"piece {piece.id!r} has no recognized entities; run recognition first")
-    return entity_words(truncate_piece(piece, max_len).entities)[:max_len]
+    require_recognized((piece,), ModelError)
+    return entity_words(recompute_entities(piece, piece.tokens[:max_len], scanners))[:max_len]
 
 
 def branches(model):
@@ -105,11 +99,12 @@ def branches(model):
 def planned_ids(encoder, pieces, max_len):
     """The ids of the words an encoder reads from each piece (`input_words`), as one flat array and each piece's bounds.
 
-    The words of every piece are encoded end to end in one call, so the ids are held once, never also per piece.
+    The words of every piece are encoded end to end in one call, so the ids
+    are held once, never also per piece; an entity reader keeps one scanner
+    per distinct in-text entity set.
     """
-    words = [input_words(encoder, p, max_len) for p in pieces]
-    bounds = [0, *accumulate(map(len, words))]
-    return encoder.vocab.encode_tokens(chain.from_iterable(words), count=bounds[-1]), bounds
+    scanners = {}
+    return encoder.vocab.encode_sequences([input_words(encoder, p, max_len, scanners) for p in pieces])
 
 
 def loss_total(model, ids, labels, stop_grad_entity_from_overall=False):

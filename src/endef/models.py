@@ -347,25 +347,35 @@ class AdamState:
         return cls(np.zeros(n, dtype=np.float64), np.zeros(n, dtype=np.float64))
 
 
-def _adam_update(params, grads, ms, vs, lr, t):
-    """The textbook bias-corrected update of one contiguous slice, in place.
+def _adam_update(params, ms, vs, lr, t, grads, ids=None):
+    """The textbook bias-corrected update of one contiguous slice, in place, block by block of whole rows.
 
-    Block by block, in the order of the textbook update: m, v, then
-    lr * m_hat / (sqrt(v_hat) + eps), then params minus that.
+    `grads` is the slice's gradient or, with `ids`, the gradient rows of a
+    table of rows of grads.shape[1] elements: row ids[k] (sorted) has
+    gradient grads[k], every other row 0. A block's m and v decay and take
+    the gradient terms, then params lose lr * m_hat / (sqrt(v_hat) + eps).
+    A row without a gradient only decays: the textbook adds
+    (1 - beta) * 0.0 to beta * m, which is never -0.0.
     """
-    scratch = np.empty(min(ADAM_BLOCK, params.size))
+    width = 1 if ids is None else grads.shape[1]
+    per = max(1, ADAM_BLOCK // width)  # rows per block
+    if ids is not None:  # the gradient rows of each block
+        cuts = np.searchsorted(ids, range(0, params.size // width + per, per)).tolist()
+    scratch = np.empty(min(per * width, params.size))
     denom = np.empty_like(scratch)
-    for start in range(0, params.size, ADAM_BLOCK):
-        block = slice(start, start + ADAM_BLOCK)
-        g, m, v = grads[block], ms[block], vs[block]
-        s, den = scratch[: g.size], denom[: g.size]
-        np.multiply(g, 1.0 - ADAM_BETA1, out=s)
+    for b, start in enumerate(range(0, params.size, per * width)):
+        block = slice(start, start + per * width)
+        m, v = ms[block], vs[block]
+        s, den = scratch[: m.size], denom[: m.size]
         m *= ADAM_BETA1
-        m += s
-        np.square(g, out=s)
-        s *= 1.0 - ADAM_BETA2
         v *= ADAM_BETA2
-        v += s
+        if ids is None:
+            m += np.multiply(grads[block], 1.0 - ADAM_BETA1, out=s)
+            v += np.multiply(np.square(grads[block], out=s), 1.0 - ADAM_BETA2, out=s)
+        else:
+            at, g = ids[cuts[b] : cuts[b + 1]] - b * per, grads[cuts[b] : cuts[b + 1]]
+            m.reshape(-1, width)[at] += g * (1.0 - ADAM_BETA1)
+            v.reshape(-1, width)[at] += np.square(g) * (1.0 - ADAM_BETA2)
         np.divide(v, 1.0 - ADAM_BETA2**t, out=den)
         np.sqrt(den, out=den)
         den += ADAM_EPS
@@ -379,12 +389,12 @@ def adam_step(params, grad, state, lr, t):
     """One bias-corrected Adam update from a batch's `SparseGrad`, written into `params` and `state`; returns `params`.
 
     `t` is the 1-based step count. The step raises `state.rows` past the
-    batch's largest id, then updates the embedding rows below it (a row the
-    batch did not read gets gradient 0) and the dense tail. Above the mark
-    every moment and gradient is 0, and the update leaves such an entry bit
-    for bit as it is (p - 0.0 is p, also for -0.0), so skipping it gives the
-    dense update's result. Non-finite gradients abort training rather than
-    silently corrupting the parameters.
+    batch's largest id, then updates the embedding rows below it, with no
+    dense gradient (a row the batch did not read gets gradient 0), and the
+    dense tail. Above the mark every moment and gradient is 0, and the
+    update leaves such an entry bit for bit as it is (p - 0.0 is p, also for
+    -0.0), so skipping it gives the dense update's result. Non-finite
+    gradients abort training rather than silently corrupting the parameters.
     """
     if lr <= 0:
         raise ModelError("learning rate must be positive")
@@ -402,8 +412,7 @@ def adam_step(params, grad, state, lr, t):
     if ids.size:
         state.rows = max(state.rows, int(ids.max()) + 1)
     prefix = state.rows * d
-    g = np.zeros(prefix)
-    g.reshape(state.rows, d)[ids] = rows
-    _adam_update(params[:prefix], g, state.m[:prefix], state.v[:prefix], lr, t)
-    _adam_update(params[embed_end:], tail, state.m[embed_end:], state.v[embed_end:], lr, t)
+    if prefix:
+        _adam_update(params[:prefix], state.m[:prefix], state.v[:prefix], lr, t, rows, ids)
+    _adam_update(params[embed_end:], state.m[embed_end:], state.v[embed_end:], lr, t, tail)
     return params

@@ -24,7 +24,6 @@ from .framework import (
     make_endef_model,
     planned_ids,
     score,
-    truncate_piece,
 )
 from .metrics import DEFAULT_MAXFPR, PredictionSet, evaluate, f1_scores
 from .models import MAX_SEQ_LEN, AdamState, ModelError, adam_step, sigmoid
@@ -132,12 +131,11 @@ def train(model, split, cfg):
     """Train a fused EndefModel or a single ScalarModel; early stop on the detector's validation macro F1.
 
     Each encoder reads the view it was built with; a single encoder that
-    reads entities is the entity-only shortcut classifier. Training pieces
-    are truncated up front because augmentation draws per token of the
-    truncated piece; each is encoded once per input view
-    (`framework.planned_ids`) and scanned once into the run's
-    `augmentation.Plan`, from which `augmentation.augment` derives each
-    batch's ids. The validation ids are encoded once too.
+    reads entities is the entity-only shortcut classifier. The run's
+    `augmentation.Plan` cuts each training piece to max_len (augmentation
+    draws per token of the cut piece), scans it once and encodes it once
+    per input view; `augmentation.augment` derives each batch's ids from
+    it. The validation ids are encoded once too (`framework.planned_ids`).
     The model is updated in place and, after the run, holds the parameters
     of the best validation epoch (not the last one). Adam writes into a
     private copy of each encoder's parameters, so the arrays the model held
@@ -147,9 +145,8 @@ def train(model, split, cfg):
     encoders = branches(model)
     opts = {name: AdamState.zeros(enc.num_params) for name, enc in encoders.items()}
     shuffle_rng, augment_draws = _rng_streams(cfg.seed)
-    pieces = [truncate_piece(p, cfg.max_len) for p in split.train]
-    planned = {enc.reads: (enc.vocab, *planned_ids(enc, pieces, cfg.max_len)) for enc in encoders.values()}
-    plan = aug.Plan(pieces, planned, cfg.max_len)
+    pieces = list(split.train)
+    plan = aug.Plan(pieces, {enc.reads: enc.vocab for enc in encoders.values()}, cfg.max_len)
     labels = labels_of(pieces)
     val_ids = planned_ids(encoders["detector"], split.validation, cfg.max_len)
     val_labels = labels_of(split.validation)

@@ -3,7 +3,7 @@
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -78,6 +78,11 @@ class Vocabulary:
         if count is None:
             count = len(tokens)
         return np.fromiter(map(self._index.get, tokens, repeat(self.unk_id)), dtype=np.intp, count=count)
+
+    def encode_sequences(self, sequences):
+        """The ids of a list of token sequences end to end, as one flat array, and the bounds of each one's ids."""
+        bounds = np.concatenate(([0], np.cumsum(list(map(len, sequences)), dtype=np.intp)))
+        return self.encode_tokens(chain.from_iterable(sequences), count=int(bounds[-1])), bounds
 
     def encode_entities(self, entities, max_len=None):
         """The words of the entity strings joined with [SEP] and encoded as tokens; a lone [PAD] when empty."""

@@ -287,15 +287,24 @@ def make_piece(pid, tokens, entities=(), label=0, timestamp=0):
     return NewsPiece(pid, tuple(tokens), tuple(entities), label, timestamp)
 
 
+def truncate_piece(piece, max_len):
+    """A piece cut to max_len tokens, its entities recounted on the cut tokens: the piece an encoder reads."""
+    if len(piece.tokens) <= max_len:
+        return piece
+    new_tokens = piece.tokens[:max_len]
+    return replace(piece, tokens=new_tokens, entities=recompute_entities(piece, new_tokens))
+
+
 class PieceRecord:
-    """A training piece scanned once: its in-text gazetteer, external entities, entity spans and the ids each view reads."""
+    """A training piece cut to max_len and scanned once: its gazetteer, external entities, tokens, spans and ids."""
 
-    __slots__ = ("piece", "scanner", "external", "spans", "planned")
+    __slots__ = ("piece", "scanner", "external", "tokens", "spans", "planned")
 
-    def __init__(self, piece, scanners, planned):
+    def __init__(self, piece, scanners, planned, max_len=MAX_SEQ_LEN):
         self.piece = piece
         self.scanner, self.external = _partition(piece, scanners)
-        self.spans = tuple((a, b) for a, b, _ in self.scanner.spans(piece.tokens))
+        self.tokens = piece.tokens[:max_len]
+        self.spans = tuple((a, b) for a, b, _ in self.scanner.spans(self.tokens))
         self.planned = planned
 
     def ids(self, encoder, max_len):
@@ -308,7 +317,7 @@ class Sample:
 
     `masked` holds the positions a mask replaced (empty for a drop) and
     `kept` the positions a drop kept (None for a mask), both counted on
-    the tokens of `record.piece`. The id and label stay on `record.piece`.
+    `record.tokens`. The id and label stay on `record.piece`.
     """
 
     __slots__ = ("record", "masked", "kept")
@@ -323,8 +332,7 @@ class Sample:
 
         A token reader's ids are the planned ones with [MASK]'s id written at
         the masked positions, or only the kept ones left. Only an entity reader
-        rebuilds the edited tokens; it rescans them and re-encodes the recount
-        only when it changed.
+        rebuilds the edited tokens; it rescans them and encodes the recount.
         """
         record = self.record
         planned = record.planned[encoder.reads]
@@ -334,12 +342,10 @@ class Sample:
             ids = planned.copy()
             ids[list(self.masked)] = encoder.vocab.mask_id
             return ids
-        tokens = record.piece.tokens
+        tokens = record.tokens
         positions = range(len(tokens)) if self.kept is None else self.kept
         edited = tuple(MASK_TOKEN if i in self.masked else tokens[i] for i in positions)
         entities = tuple(e for _, _, e in record.scanner.spans(edited)) + record.external
-        if entities == record.piece.entities:
-            return planned
         return encoder.vocab.encode_entities(entities, max_len)
 
 
@@ -362,7 +368,7 @@ def augment_record(record, settings, rng):
     kind = settings.kinds[int(rng.integers(len(settings.kinds)))]
     action = settings.actions[int(rng.integers(len(settings.actions)))]
     p = settings.probability
-    tokens = record.piece.tokens
+    tokens = record.tokens
     if kind == "word_level":
         draws = rng.random(len(tokens)).tolist()
         selected = {i for i, u in enumerate(draws) if u < p}
@@ -376,21 +382,23 @@ def augment_record(record, settings, rng):
     return Sample(record, (), [i for i in range(len(tokens)) if i not in selected] or [int(rng.integers(len(tokens)))])
 
 
-def make_plan(pieces, max_len=MAX_SEQ_LEN):
-    """Pieces planned for a token reader and an entity reader on the pieces' words.
+def make_plan(pieces, max_len=MAX_SEQ_LEN, kind=BAG_OF_EMBEDDINGS):
+    """Pieces planned for a token reader and an entity reader of `kind` on the pieces' words.
 
-    Returns (oracle records, encoders by the view each reads, the batch `Plan`).
+    Returns (oracle records, encoders by the view each reads, the batch
+    `Plan`). A record's ids are those `planned_ids` reads through
+    `framework.input_words`, apart from the plan's own scan.
     """
     pieces = list(pieces)
     vocab = build_vocabulary(pieces, 1)
-    encoders = {view: ScalarModel(tiny_spec(BAG_OF_EMBEDDINGS), vocab, reads=view) for view in INPUT_VIEWS}
-    planned = {view: (enc.vocab, *planned_ids(enc, pieces, max_len)) for view, enc in encoders.items()}
+    encoders = {view: ScalarModel(tiny_spec(kind), vocab, reads=view) for view in INPUT_VIEWS}
+    planned = {view: planned_ids(enc, pieces, max_len) for view, enc in encoders.items()}
     scanners = {}
     records = [
-        PieceRecord(p, scanners, {view: flat[bounds[k] : bounds[k + 1]] for view, (_, flat, bounds) in planned.items()})
+        PieceRecord(p, scanners, {view: flat[b[k] : b[k + 1]] for view, (flat, b) in planned.items()}, max_len)
         for k, p in enumerate(pieces)
     ]
-    return records, encoders, Plan(pieces, planned, max_len)
+    return records, encoders, Plan(pieces, {view: enc.vocab for view, enc in encoders.items()}, max_len)
 
 
 def batch_ids(plan, batch, settings, draws):
@@ -402,19 +410,19 @@ def batch_ids(plan, batch, settings, draws):
 def shown(sample):
     """The id and label of a training sample's piece, and the tokens and entities it shows.
 
-    An unedited record shows its piece's. An edit shows its piece's tokens at
-    the kept positions, or with [MASK] at the masked ones, and the entities
-    `recompute_entities` counts on them.
+    An unedited record shows its cut tokens. An edit shows them at the kept
+    positions, or with [MASK] at the masked ones. Either shows the entities
+    `recompute_entities` counts on the tokens it shows.
     """
     if not isinstance(sample, Sample):
-        piece = sample.piece
-        return piece.id, piece.label, piece.tokens, piece.entities
-    piece = sample.record.piece
-    if sample.kept is not None:
-        tokens = tuple(piece.tokens[i] for i in sample.kept)
+        record, tokens = sample, sample.tokens
+    elif sample.kept is not None:
+        record = sample.record
+        tokens = tuple(record.tokens[i] for i in sample.kept)
     else:
-        tokens = tuple(MASK_TOKEN if i in sample.masked else t for i, t in enumerate(piece.tokens))
-    return piece.id, piece.label, tokens, recompute_entities(piece, tokens)
+        record = sample.record
+        tokens = tuple(MASK_TOKEN if i in sample.masked else t for i, t in enumerate(record.tokens))
+    return record.piece.id, record.piece.label, tokens, recompute_entities(record.piece, tokens)
 
 
 def snapshot(sample, encoders, max_len=MAX_SEQ_LEN):

@@ -29,7 +29,15 @@ from endef.synthetic import generate
 from endef.training import TrainConfig, train
 from endef.vocab import SPECIAL_TOKENS, Vocabulary, build_vocabulary
 
-from conftest import dense_grad, finite_difference, make_piece, piece_loss, recognized_audit, relu_safety_margin
+from conftest import (
+    dense_grad,
+    finite_difference,
+    input_ids,
+    make_piece,
+    piece_loss,
+    recognized_audit,
+    relu_safety_margin,
+)
 from test_metrics import pairwise_auc_oracle, spauc_fine_grid_oracle
 
 # half the pilot-measured 10-seed gaps, frozen before this suite was finalized
@@ -88,10 +96,9 @@ def test_criterion_1_gradient_correctness():
         batch = [_random_piece(rng, 6) for _ in range(2)]
         margins = []
         for piece in batch:
-            ids_c = vocab.encode_tokens(piece.tokens, 170)
-            ids_e = vocab.encode_entities(piece.entities, 170)
-            margins.append(relu_safety_margin(model.detector, ids_c))
-            margins.append(relu_safety_margin(model.entity_model, ids_e))
+            # the ids the loss reads: the entity branch reads a recount, not the piece's list
+            margins.append(relu_safety_margin(model.detector, input_ids(model.detector, piece, 170)))
+            margins.append(relu_safety_margin(model.entity_model, input_ids(model.entity_model, piece, 170)))
         if min(margins) <= 1e-3:
             continue  # finite differences are meaningless at a relu kink; redraw
         _, grads = piece_loss(model, batch)

@@ -16,16 +16,17 @@ from endef.augmentation import (
     recompute_entities,
 )
 from endef.corpus import contains_subsequence
-from endef.models import MAX_SEQ_LEN
+from endef.framework import encoded_logits, planned_ids
+from endef.models import CONV_NGRAM, MAX_SEQ_LEN
 from endef.recognizer import Gazetteer, recognize
 from endef.replay import Draws
 from endef.training import AugmentSettings, TrainingError
+from endef.vocab import entity_words
 
 from conftest import (
     Sample,
     augment_record,
     batch_ids,
-    input_ids,
     make_piece,
     make_plan,
     reference_longest_matches,
@@ -327,7 +328,7 @@ REFERENCE_SETTINGS = (
 
 # dropping only "d" joins a second "b c" that no span of the piece covers: a drop that misses every span rescans
 DROP_JOIN_PIECE = make_piece("j0", ("b", "c", "a", "b", "d", "c"), ("b c",), 0, 0)
-# entities listed out of occurrence order: an unedited sample reads them in this order, every edit in the recount's
+# entities listed out of occurrence order: every sample, edited or not, reads them in occurrence order
 OUT_OF_ORDER_PIECE = make_piece("o0", ("x", "a", "y", "b", "z"), ("b", "a"), 1, 0)
 
 
@@ -345,6 +346,7 @@ def test_augment_matches_reference_stream():
     for seed in range(40):
         pieces = oracle_pieces(seed)
         records, encoders, _ = make_plan(pieces)
+        vocab = encoders["tokens"].vocab
         for settings in REFERENCE_SETTINGS:
             rng = np.random.default_rng(seed)
             ref_rng = np.random.default_rng(seed)
@@ -353,8 +355,11 @@ def test_augment_matches_reference_stream():
                 expect = reference_augment(piece, settings, ref_rng, seen)
                 assert (out is record) == (expect is piece)
                 assert (out if out is record else out.record) is record and record.piece is piece
-                expect_ids = {name: input_ids(enc, expect, MAX_SEQ_LEN).tolist() for name, enc in encoders.items()}
-                assert snapshot(out, encoders) == (expect.id, expect.label, expect.tokens, expect.entities, expect_ids)
+                # edited or not, an entity reader reads the recount of the tokens the sample shows
+                entities = reference_recompute_entities(piece, expect.tokens)
+                expect_ids = {"tokens": vocab.encode_tokens(expect.tokens), "entities": vocab.encode_entities(entities)}
+                expect_ids = {view: ids.tolist() for view, ids in expect_ids.items()}
+                assert snapshot(out, encoders) == (expect.id, expect.label, expect.tokens, entities, expect_ids)
                 assert rng.bit_generator.state == ref_rng.bit_generator.state
     kinds_actions = {(k, a) for k in AUGMENT_KINDS for a in AUGMENT_ACTIONS}
     assert kinds_actions | {"fallback"} <= seen
@@ -422,3 +427,44 @@ def test_a_drop_that_misses_every_span_still_rescans_a_multi_word_entity():
     vocab = encoders["entities"].vocab
     assert shown(out)[2:] == (("b", "c", "a", "b", "c"), ("b c", "b c"))
     assert got["entities"] == vocab.encode_entities(("b c", "b c")).tolist() != planned(plan, "entities").tolist()
+
+
+# in-text entities listed against their occurrence order c, b, a, and an external one between them
+SPANS_ORDER_PIECE = make_piece("s0", ("x", "c", "y", "b", "z", "a"), ("a", "elsewhere", "b", "c"), 1, 0)
+
+
+def test_every_entity_reader_reads_the_spans_order():
+    """An unedited sample, an edit that misses every span, a rescanned edit and a piece cut at max_len: a conv
+    entity reader reads the in-text entities in the order the scan finds them in the tokens it sees, then the
+    external ones. In training it reads the ids `input_words` gives in scoring, and the same logit."""
+    piece = SPANS_ORDER_PIECE
+    cases = {}
+    for max_len in (MAX_SEQ_LEN, 4):
+        _, encoders, plan = make_plan([piece], max_len, kind=CONV_NGRAM)
+        (got,) = batch_ids(plan, [0], AugmentSettings(enabled=False), Draws(0))
+        cases["unedited" if max_len == MAX_SEQ_LEN else "cut"] = max_len, tuple(piece.tokens[:max_len]), got
+    reader, mask_id = encoders["entities"], encoders["tokens"].vocab.mask_id
+    _, _, plan = make_plan([piece], kind=CONV_NGRAM)
+    for seed in range(200):
+        (got,) = batch_ids(plan, [0], only("word_level", "mask", 0.5), Draws(seed))
+        masked = {k for k, i in enumerate(got["tokens"]) if i == mask_id}
+        tokens = tuple(MASK_TOKEN if k in masked else t for k, t in enumerate(piece.tokens))
+        hit = masked & {1, 3, 5}  # the positions of c, b and a
+        if masked and hit in (set(), {3}):
+            cases.setdefault("rescanned" if hit else "misses every span", (MAX_SEQ_LEN, tokens, got))
+    assert cases.keys() == {"unedited", "cut", "misses every span", "rescanned"}
+    expected = {
+        "unedited": ("c", "b", "a", "elsewhere"),
+        "cut": ("c", "b", "elsewhere"),
+        "misses every span": ("c", "b", "a", "elsewhere"),
+        "rescanned": ("c", "a", "elsewhere"),
+    }
+    for case, (max_len, tokens, got) in cases.items():
+        assert recompute_entities(piece, tokens) == expected[case], case
+        words = entity_words(expected[case])[:max_len]
+        assert got["entities"] == reader.vocab.encode_tokens(words).tolist(), case
+        if case != "rescanned":  # an edit that needs no rescan reads the planned ids, the ones scoring reads
+            flat, bounds = planned_ids(reader, [piece], max_len)
+            assert got["entities"] == flat.tolist(), case
+            train_logit = reader._forward_cache(np.array(got["entities"]), [0, len(got["entities"])])[0]
+            assert train_logit.tobytes() == encoded_logits(reader, flat, bounds).tobytes(), case

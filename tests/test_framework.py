@@ -233,10 +233,9 @@ def test_loss_total_gradient_matches_finite_differences_all_kind_pairs():
             candidate = small_model(seed=seed, det_kind=det_kind, ent_kind=ent_kind)
             margins = []
             for p in batch:
-                ids_c = candidate.vocab.encode_tokens(p.tokens, 170)
-                ids_e = candidate.vocab.encode_entities(p.entities, 170)
-                margins.append(relu_safety_margin(candidate.detector, ids_c))
-                margins.append(relu_safety_margin(candidate.entity_model, ids_e))
+                # the ids the loss reads: the entity branch reads a recount, not the piece's list
+                margins.append(relu_safety_margin(candidate.detector, input_ids(candidate.detector, p, 170)))
+                margins.append(relu_safety_margin(candidate.entity_model, input_ids(candidate.entity_model, p, 170)))
             if min(margins) > 1e-3:
                 model = candidate
                 break

@@ -616,13 +616,18 @@ def test_adam_blocked_update_equals_textbook_update():
 
 
 # the ids each step's batch reads, per case: row 5 is first read at step 2;
-# row 3 gets a zero gradient at step 3 and rows 0 and 3 are absent from
-# later batches; step 3's and step 5's ids all lie below the mark; step 4
-# raises the mark to the whole table, across Adam blocks
+# row 3 gets a zero gradient and row 2 a gradient of -0.0 at step 3, and rows
+# 0 and 3 are absent from later batches; step 3's and step 5's ids all lie
+# below the mark; step 4 raises the mark to the whole table, across Adam
+# blocks, and at a width of 7, which does not divide ADAM_BLOCK, across rows
+# that an even split of the table into blocks would cut
 ROW_SCHEDULE = ([0, 3], [5, 7], [2, 3], [-1], [1, 4], [])
 
 
-@pytest.mark.parametrize("n_rows, d, n_tail", [(2 * ADAM_BLOCK // 8 + 50, 8, 777), (0, 0, 2 * ADAM_BLOCK + 5)])
+@pytest.mark.parametrize(
+    "n_rows, d, n_tail",
+    [(2 * ADAM_BLOCK // 8 + 50, 8, 777), (2 * ADAM_BLOCK // 7 + 50, 7, 777), (0, 0, 2 * ADAM_BLOCK + 5)],
+)
 def test_sparse_adam_equals_textbook_dense_update(n_rows, d, n_tail):
     rng = np.random.default_rng(21)
     embed_end = n_rows * d
@@ -639,6 +644,7 @@ def test_sparse_adam_equals_textbook_dense_update(n_rows, d, n_tail):
         ids = np.array(sorted(i % n_rows for i in step_ids), dtype=np.intp)
         rows = rng.normal(size=(ids.size, d))
         rows[ids == 3] = 0.0
+        rows[(ids == 2) & (t == 3)] = -0.0
         grad = SparseGrad(rng.normal(size=n_tail), ids, rows)
         dense = np.zeros(params.size)
         dense[embed_end:] = grad.tail

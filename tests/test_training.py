@@ -31,11 +31,10 @@ from endef.training import (
     grid_search_alpha,
     labels_of,
     train,
-    truncate_piece,
 )
 from endef.vocab import MASK_TOKEN, Vocabulary, build_vocabulary
 
-from conftest import augment_record, input_ids, make_piece, make_plan, piece_loss, unbiased_spec
+from conftest import augment_record, input_ids, make_piece, make_plan, piece_loss, truncate_piece, unbiased_spec
 from test_augmentation import REFERENCE_SETTINGS, reference_augment
 
 
@@ -215,7 +214,7 @@ def test_augment_disabled_consumes_no_randomness():
 
 def reference_edits(split, cfg, epochs):
     """(edits, edits that touch an entity span) of a mask-only run, replayed by the per-sample oracle and `Generator`s."""
-    records, _, _ = make_plan(truncate_piece(p, cfg.max_len) for p in split.train)
+    records, _, _ = make_plan(split.train, cfg.max_len)
     shuffle_rng, augment_rng = (np.random.default_rng(ss) for ss in np.random.SeedSequence(cfg.seed).spawn(2))
     edits = touched = 0
     for _ in range(epochs):
@@ -228,12 +227,12 @@ def reference_edits(split, cfg, epochs):
 
 
 def test_only_an_entity_reader_rescans_an_edit(monkeypatch):
-    """A baseline run scans each uncut training piece once, while planning; a fused run also rescans each edit that
-    touches a span. The pieces' entities are single words without [MASK], so a mask that touches no span leaves the
-    recount as it was."""
+    """A baseline run scans each training piece once, while planning, whether max_len cuts it or not; a fused run
+    also rescans each edit that touches a span. The pieces' entities are single words without [MASK], so a mask that
+    touches no span leaves the recount as it was."""
     split, vocab, det_spec, ent_spec, cfg = tiny_setup()
-    cfg = replace(cfg, augment=AugmentSettings(probability=0.3, actions=("mask",)))
-    assert all(len(p.tokens) <= cfg.max_len for p in split.train)
+    cfg = replace(cfg, max_len=11, augment=AugmentSettings(probability=0.3, actions=("mask",)))
+    assert 0 < sum(len(p.tokens) > cfg.max_len for p in split.train) < len(split.train)
     assert all(len(e.split()) == 1 and e != MASK_TOKEN for p in split.train for e in p.entities)
     counts = {"spans": 0}
     real_spans = Gazetteer.spans
@@ -339,12 +338,16 @@ def test_train_matches_reference_loop():
 def test_validation_is_encoded_once_per_run(monkeypatch):
     # an entity reader cut to 3 tokens: scoring validation pieces afresh would re-truncate and re-encode each every epoch
     split, vocab, det_spec, ent_spec, cfg = tiny_setup()
-    read, encodes = [], []
-    real_words, real_encode = framework.input_words, Vocabulary.encode_tokens
+    read, encodes, scans = [], [], []
+    real_words, real_encode, real_spans = framework.input_words, Vocabulary.encode_tokens, Gazetteer.spans
 
-    def reading(encoder, piece, max_len):
+    def reading(encoder, piece, max_len, scanners=None):
         read.append(piece.id)
-        return real_words(encoder, piece, max_len)
+        return real_words(encoder, piece, max_len, scanners)
+
+    def scanning(self, words, bounds=None):
+        scans.append(words)
+        return real_spans(self, words, bounds)
 
     def encoding(self, *args, **kwargs):
         encodes.append(kwargs.get("count"))
@@ -352,12 +355,15 @@ def test_validation_is_encoded_once_per_run(monkeypatch):
 
     monkeypatch.setattr(framework, "input_words", reading)
     monkeypatch.setattr(Vocabulary, "encode_tokens", encoding)
+    monkeypatch.setattr(Gazetteer, "spans", scanning)
     model = ScalarModel(ent_spec, vocab, seed=0, reads="entities")
     cfg = replace(cfg, max_epochs=3, patience=3, max_len=3, augment=AugmentSettings(enabled=False))
     result = train(model, split, cfg)
     assert len(result.history) == 3
-    # the plan reads each training piece once and validation each of its pieces once, each part in one encode call
-    assert len(read) == len(split.train) + len(split.validation)
+    # the plan scans each training piece once and validation reads each of its pieces once, each part in one
+    # encode call
+    assert read == [p.id for p in split.validation]
+    assert len(scans) == len(split.train) + len(split.validation)
     assert len(encodes) == 2 and None not in encodes
 
 
